@@ -24,10 +24,8 @@ from typing import Callable, Optional, Sequence
 
 from .lattice import smith_normal_form
 from .negativity import (
-    NegativityQuery,
     certify_exponent,
     check_class_negativity,
-    check_negativity,
     rank_one_bound,
     verify_fundamental_lemma,
 )
@@ -40,11 +38,11 @@ from .params import (
     reduced_word,
 )
 from .rootsys import (
-    WEYL_ORDER_LIMIT,
     CapacityError,
     Parameter,
     RootSystem,
     build_root_system,
+    check_enumerable,
     dual,
     weyl_order,
 )
@@ -124,15 +122,6 @@ def _denominator(args: argparse.Namespace) -> int:
     if n < 1:
         raise ValueError("--denominator must be a positive integer")
     return n
-
-
-def _guard_enumeration(rs: RootSystem) -> None:
-    order = weyl_order(rs.spec)
-    if order > WEYL_ORDER_LIMIT:
-        raise CapacityError(
-            f"Weyl group of {rs.spec} has order {order}, "
-            f"above the enumeration limit {WEYL_ORDER_LIMIT}"
-        )
 
 
 def _word(rs: RootSystem, w) -> list[int]:
@@ -230,7 +219,7 @@ def _cmd_subsystems(args) -> tuple[JsonDoc, int]:
 
 def _cmd_class(args) -> tuple[JsonDoc, int]:
     rs = build_root_system(args.type)
-    _guard_enumeration(rs)
+    check_enumerable(rs)
     lam = _parameter(rs, args)
     n = _denominator(args)
     cls = equivalence_class(rs, lam, n)
@@ -256,7 +245,7 @@ def _cmd_class(args) -> tuple[JsonDoc, int]:
 
 def _cmd_gallery(args) -> tuple[JsonDoc, int]:
     rs = build_root_system(args.type)
-    _guard_enumeration(rs)
+    check_enumerable(rs)
     lam = _parameter(rs, args)
     gallery = gallery_class(rs, lam)
     doc = {
@@ -287,12 +276,13 @@ def _cmd_edge(args) -> tuple[JsonDoc, int]:
 
 def _cmd_negativity(args) -> tuple[JsonDoc, int]:
     rs = build_root_system(args.type)
-    _guard_enumeration(rs)
+    check_enumerable(rs)
     lam = _parameter(rs, args)
     n = _denominator(args)
     basis = _subspace(rs, args.subspace)
-    verdict = check_negativity(rs, NegativityQuery(lam, args.mode, basis, n))
-    class_ok = check_class_negativity(rs, lam, args.mode, basis, n).ok
+    report = check_class_negativity(rs, lam, args.mode, basis, n)
+    # the class report checks lam itself as the member with w = identity
+    verdict = next(m.verdict for m in report.members if m.mu == lam)
     doc = {
         "type": str(rs.spec),
         "re": _q_list(lam.re),
@@ -305,14 +295,14 @@ def _cmd_negativity(args) -> tuple[JsonDoc, int]:
         else None,
         "span_basis": [list(b) for b in verdict.span_basis],
         "tight_generators": list(verdict.tight_generators),
-        "class_ok": class_ok,
+        "class_ok": report.ok,
     }
     return doc, 0
 
 
 def _cmd_fundamental(args) -> tuple[JsonDoc, int]:
     rs = build_root_system(args.type)
-    _guard_enumeration(rs)
+    check_enumerable(rs)
     lam = _parameter(rs, args)
     n = _denominator(args)
     basis = _subspace(rs, args.subspace)

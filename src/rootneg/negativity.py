@@ -301,7 +301,7 @@ def verify_fundamental_lemma(
     gallery = gallery_class(rs, lam)
     containing: Optional[tuple[WeylElement, SubspaceBasis]] = None
     for u in gallery.chambers:
-        w = u.inverse()
+        w = u.inverse(rs)
         mu = act(rs, w, lam)
         a_mu = (
             full_space(rs)

@@ -23,6 +23,7 @@ from .rootsys import (
     RootSystem,
     WeylElement,
     act,
+    descent_word,
     identity_weyl,
     pairing,
     root_coords_of,
@@ -166,18 +167,16 @@ def gallery_class(rs: RootSystem, lam: Parameter) -> ChamberSet:
     is allowed iff that (indivisible) root is outside the integral root set.
     """
     sigma = frozenset(integral_roots(rs, lam, 1))
-    gens = [simple_reflection(rs, i) for i in range(rs.rank)]
     ident = identity_weyl(rs)
     seen = {ident.images: ident}
     frontier = [ident]
     while frontier:
         nxt = []
         for u in frontier:
-            for i, s in enumerate(gens):
-                wall_root = u.apply_root(rs.simple_roots[i])
-                if wall_root in sigma:
+            for i in range(rs.rank):
+                if u.images[i] in sigma:
                     continue
-                v = u.compose(s)
+                v = u.times_simple(rs, i)
                 if v.images not in seen:
                     seen[v.images] = v
                     nxt.append(v)
@@ -188,24 +187,22 @@ def gallery_class(rs: RootSystem, lam: Parameter) -> ChamberSet:
 def c_lambda(rs: RootSystem, lam: Parameter) -> ChamberSet:
     """Chambers w(C) inside {X : alpha(X) >= 0 for all positive integral alpha}.
 
-    Decided exactly by evaluating each positive integral root at the interior
-    point w(sum of fundamental coweights); that point meets no root wall, so
-    the sign test is unambiguous.
+    On w(C), alpha takes the signs that w^{-1}(alpha) takes on C, and a root
+    is positive on C exactly when it is a positive root.  So w(C) lies in the
+    cone exactly when v = w^{-1} maps every positive integral root to a
+    positive root: the scan runs over v in W and keeps v^{-1}.
     """
     sigma_pos = [b for b in integral_roots(rs, lam, 1) if sum(b) > 0]
     out = []
-    for w in weyl_group(rs):
-        point = act_coweight(rs, w, tuple([Q(1)] * rs.rank))
-        ok = True
+    for v in weyl_group(rs):
         for alpha in sigma_pos:
-            val = linalg.dot(linalg.vec(alpha), point)
-            if val == 0:
-                raise AssertionError("interior point landed on a root wall")
-            if val < 0:
-                ok = False
+            image = v.apply_root(alpha)
+            if not rs.contains(image):
+                raise AssertionError("a Weyl element sent a root off the root system")
+            if sum(image) < 0:
                 break
-        if ok:
-            out.append(w)
+        else:
+            out.append(v.inverse(rs))
     return ChamberSet(_sorted_chambers(rs, out))
 
 
@@ -219,12 +216,8 @@ def act_coweight(rs: RootSystem, w: WeylElement, x: Vec) -> Vec:
     Coordinate j of w(X) is the value of the j-th simple root on w(X), which
     equals the value of w^{-1}(alpha_j) on X.
     """
-    w_inv = w.inverse()
     xv = linalg.vec(x)
-    return tuple(
-        linalg.dot(linalg.vec(w_inv.apply_root(rs.simple_roots[j])), xv)
-        for j in range(rs.rank)
-    )
+    return tuple(linalg.dot(img, xv) for img in w.inverse(rs).images)
 
 
 def edge(rs: RootSystem, lam: Parameter, denominator: int = 1) -> SubspaceBasis:
@@ -244,12 +237,4 @@ def evaluate_on_coweight(rs: RootSystem, lam: Parameter, x: Vec) -> tuple[Q, Q]:
 
 def reduced_word(rs: RootSystem, w: WeylElement) -> tuple[int, ...]:
     """A reduced word for w (1-based simple reflection indices)."""
-    word: list[int] = []
-    cur = w
-    while not cur.is_identity():
-        i = next(
-            i for i in range(rs.rank) if sum(cur.apply_root(rs.simple_roots[i])) < 0
-        )
-        word.append(i + 1)
-        cur = cur.compose(simple_reflection(rs, i))
-    return tuple(reversed(word))
+    return tuple(i + 1 for i in reversed(descent_word(rs, w)))

@@ -1,11 +1,11 @@
 """Finite root systems, reduced and non-reduced, in exact arithmetic.
 
-Roots live in the lattice spanned by the simple roots and are stored as
-integer coordinate tuples in that basis.  Parameters are linear
-functionals with complex rational values on simple coroots, stored as a pair
-of rational vectors (values on the fundamental coweight basis).  Weyl group
-elements are stored by their images of the simple roots, so every action is
-integer linear algebra.
+Roots are integer coordinate tuples over the simple roots; the Gram and
+Cartan matrices are integer.  Weyl group elements are stored by their images
+of the simple roots, so composing, inverting and acting on roots is integer
+row arithmetic.  Parameters are complex rational values on the simple
+coroots (coordinates over the fundamental weights); w acts on one by
+(w lam)_j = lam(w^{-1}(alpha_j)-coroot), an integer sum over a denominator.
 
 Scaling convention: in every reduced irreducible component the short roots
 have squared length 2; in a non-reduced component the shortest roots have
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Union
 
 from . import linalg
@@ -86,18 +86,18 @@ def _check_component(family: str, rank: int) -> None:
         raise ValueError(f"rank {rank} out of range for family {family}")
 
 
-def _chain_gram(diag: list[int], off: dict[tuple[int, int], int]) -> list[list[Q]]:
+def _chain_gram(diag: list[int], off: dict[tuple[int, int], int]) -> list[list[int]]:
     n = len(diag)
-    g = [[Q(0)] * n for _ in range(n)]
+    g = [[0] * n for _ in range(n)]
     for i in range(n):
-        g[i][i] = Q(diag[i])
+        g[i][i] = diag[i]
     for (i, j), v in off.items():
-        g[i][j] = Q(v)
-        g[j][i] = Q(v)
+        g[i][j] = v
+        g[j][i] = v
     return g
 
 
-def _component_gram(family: str, n: int) -> list[list[Q]]:
+def _component_gram(family: str, n: int) -> list[list[int]]:
     """Gram matrix of the simple roots of one irreducible component."""
     if family == "A":
         return _chain_gram([2] * n, {(i, i + 1): -1 for i in range(n - 1)})
@@ -130,16 +130,20 @@ def _component_gram(family: str, n: int) -> list[list[Q]]:
     raise ValueError(f"unknown family {family!r}")
 
 
-def _cartan_from_gram(gram: list[list[Q]]) -> list[list[int]]:
+def _cartan_from_gram(gram) -> list[list[int]]:
     n = len(gram)
     a = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            val = 2 * gram[i][j] / gram[i][i]
-            if val.denominator != 1:
+            a[i][j], rem = divmod(2 * gram[i][j], gram[i][i])
+            if rem:
                 raise ValueError("gram matrix is not crystallographic")
-            a[i][j] = int(val)
     return a
+
+
+def _gram_times(gram, beta: Root) -> list[int]:
+    """The Gram matrix times beta: entry i is (alpha_i, beta)."""
+    return [sum(g * b for g, b in zip(row, beta) if b) for row in gram]
 
 
 def _positive_roots_from_cartan(cartan: list[list[int]]) -> list[Root]:
@@ -189,7 +193,7 @@ class RootSystem:
     def __init__(self, spec: RootSystemSpec):
         self.spec = spec
         self.rank = spec.rank
-        grams: list[list[list[Q]]] = []
+        grams: list[list[list[int]]] = []
         positives: list[Root] = []
         offset = 0
         blocks: list[tuple[str, int, int]] = []
@@ -200,10 +204,7 @@ class RootSystem:
             if family == "BC":
                 doubled = []
                 for beta in comp_pos:
-                    length = linalg.dot(
-                        linalg.mat_vec(linalg.mat(g), linalg.vec(beta)), linalg.vec(beta)
-                    )
-                    if length == 1:
+                    if sum(x * b for x, b in zip(_gram_times(g, beta), beta)) == 1:
                         doubled.append(tuple(2 * b for b in beta))
                 comp_pos = comp_pos + doubled
             for beta in comp_pos:
@@ -214,9 +215,9 @@ class RootSystem:
             blocks.append((family, crank, offset))
             offset += crank
         self.blocks = tuple(blocks)
-        self.gram: Mat = _block_diag(grams, self.rank)
+        self.gram: tuple[tuple[int, ...], ...] = _block_diag(grams, self.rank)
         self.cartan: tuple[tuple[int, ...], ...] = tuple(
-            tuple(row) for row in _cartan_from_gram([list(r) for r in self.gram])
+            tuple(row) for row in _cartan_from_gram(self.gram)
         )
         self.cartan_inv: Mat = linalg.inverse(linalg.mat(self.cartan))
         self.simple_roots: tuple[Root, ...] = tuple(
@@ -232,8 +233,18 @@ class RootSystem:
             )
         )
         self._root_set = frozenset(self.roots)
-        self._len_sq = {r: self._length_sq_raw(r) for r in self.roots}
-        self._coweight = {r: self._coroot_coweight_raw(r) for r in self.roots}
+        self._len_sq: dict[Root, int] = {}
+        self._coweight: dict[Root, tuple[int, ...]] = {}
+        for beta in self.roots:
+            gb = _gram_times(self.gram, beta)
+            ls = sum(x * b for x, b in zip(gb, beta))
+            self._len_sq[beta] = ls
+            # alpha_i(beta-coroot) = 2 (alpha_i, beta) / (beta, beta); always integral.
+            coweight = [divmod(2 * x, ls) for x in gb]
+            if any(rem for _, rem in coweight):
+                raise ValueError("non-integral coroot pairing")
+            self._coweight[beta] = tuple(val for val, _ in coweight)
+        self._diag = tuple(self.gram[j][j] for j in range(self.rank))
 
     def __repr__(self) -> str:
         return f"RootSystem({self.spec})"
@@ -279,25 +290,8 @@ class RootSystem:
     def height(self, beta: Root) -> int:
         return sum(beta)
 
-    def _length_sq_raw(self, beta: Root) -> Q:
-        v = linalg.vec(beta)
-        return linalg.dot(linalg.mat_vec(self.gram, v), v)
-
-    def length_sq(self, beta: Root) -> Q:
+    def length_sq(self, beta: Root) -> int:
         return self._len_sq[tuple(beta)]
-
-    def _coroot_coweight_raw(self, beta: Root) -> tuple[int, ...]:
-        # alpha_i(beta-coroot) = 2 (alpha_i, beta) / (beta, beta); always integral.
-        v = linalg.vec(beta)
-        gb = linalg.mat_vec(self.gram, v)
-        ls = linalg.dot(gb, v)
-        out = []
-        for x in gb:
-            val = 2 * x / ls
-            if val.denominator != 1:
-                raise ValueError("non-integral coroot pairing")
-            out.append(int(val))
-        return tuple(out)
 
     def coroot_coweight_coords(self, beta: Root) -> tuple[int, ...]:
         """The coroot of beta as values of the simple roots on it."""
@@ -326,8 +320,8 @@ def build_root_system(spec: Union[RootSystemSpec, str]) -> RootSystem:
     return _build_cache[key]
 
 
-def _block_diag(blocks: list[list[list[Q]]], n: int) -> Mat:
-    g = [[Q(0)] * n for _ in range(n)]
+def _block_diag(blocks: list[list[list[int]]], n: int) -> tuple[tuple[int, ...], ...]:
+    g = [[0] * n for _ in range(n)]
     offset = 0
     for b in blocks:
         m = len(b)
@@ -377,6 +371,13 @@ class Parameter:
     def is_real(self) -> bool:
         return all(x == 0 for x in self.im)
 
+    @cached_property
+    def _scaled(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """(d, d * re, d * im) for the least common denominator d of the entries."""
+        d = math.lcm(*(x.denominator for x in self.re + self.im))
+        return (d, tuple(x.numerator * (d // x.denominator) for x in self.re),
+                tuple(x.numerator * (d // x.denominator) for x in self.im))
+
     def scale(self, c) -> "Parameter":
         c = Q(c)
         return Parameter(tuple(c * x for x in self.re), tuple(c * x for x in self.im))
@@ -390,17 +391,16 @@ def pairing(rs: RootSystem, lam: Parameter, beta: Root) -> tuple[Q, Q]:
     """
     if lam.rank != rs.rank:
         raise ValueError("parameter rank does not match root system rank")
-    v = linalg.vec(beta)
-    ls = rs.length_sq(tuple(beta))
-    re = Q(0)
-    im = Q(0)
-    for j, b in enumerate(v):
-        if b == 0:
-            continue
-        c = b * rs.gram[j][j] / ls
-        re += c * lam.re[j]
-        im += c * lam.im[j]
-    return re, im
+    return _on_coroot(rs, tuple(beta), lam)
+
+
+def _on_coroot(rs: RootSystem, beta: Root, lam: Parameter) -> tuple[Q, Q]:
+    """pairing without the rank check, as one integer sum over lam's denominator."""
+    d, re, im = lam._scaled
+    d *= rs._len_sq[beta]
+    coeffs = [b * g for b, g in zip(beta, rs._diag)]
+    return (Q(sum(c * x for c, x in zip(coeffs, re)), d),
+            Q(sum(c * x for c, x in zip(coeffs, im)), d))
 
 
 def root_coords_of(rs: RootSystem, lam: Parameter) -> tuple[Vec, Vec]:
@@ -451,14 +451,20 @@ class WeylElement:
         """self applied after other."""
         return WeylElement(tuple(self.apply_root(img) for img in other.images))
 
-    def inverse(self) -> "WeylElement":
-        cols = linalg.mat(list(zip(*self.images)))
-        inv = linalg.inverse(cols)
-        images = []
-        for j in range(len(self.images)):
-            col = tuple(int(inv[k][j]) for k in range(len(self.images)))
-            images.append(col)
-        return WeylElement(tuple(images))
+    def times_simple(self, rs: RootSystem, i: int) -> "WeylElement":
+        """self s_i: image j drops <alpha_j, alpha_i-coroot> times image i."""
+        img_i = self.images[i]
+        return WeylElement(tuple(
+            tuple(x - c * y for x, y in zip(img, img_i)) if c else img
+            for img, c in zip(self.images, rs.cartan[i])
+        ))
+
+    def inverse(self, rs: RootSystem) -> "WeylElement":
+        """w^{-1} = s_a s_b ... for the descent word (a, b, ...) of w."""
+        inv = identity_weyl(rs)
+        for i in descent_word(rs, self):
+            inv = inv.times_simple(rs, i)
+        return inv
 
     def is_identity(self) -> bool:
         n = len(self.images)
@@ -481,6 +487,22 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
         img[i] -= rs.cartan[i][j]
         images.append(tuple(img))
     return WeylElement(tuple(images))
+
+
+def descent_word(rs: RootSystem, w: WeylElement) -> tuple[int, ...]:
+    """Right descents peeled off w, first to last (0-based indices).
+
+    Each step takes the least i with w(alpha_i) negative and replaces w by
+    w s_i, until w is the identity; for the word (a, b, ..., z) this gives
+    w = s_z ... s_b s_a, a reduced expression.
+    """
+    word = []
+    while True:
+        i = next((i for i, img in enumerate(w.images) if sum(img) < 0), None)
+        if i is None:
+            return tuple(word)
+        word.append(i)
+        w = w.times_simple(rs, i)
 
 
 def weyl_length(rs: RootSystem, w: WeylElement) -> int:
@@ -516,51 +538,53 @@ def weyl_order(spec: RootSystemSpec) -> int:
     return order
 
 
-def weyl_group(rs: RootSystem) -> tuple[WeylElement, ...]:
-    """All Weyl group elements, sorted by (length, images).
-
-    Refuses to enumerate groups larger than WEYL_ORDER_LIMIT elements.
-    """
+def check_enumerable(rs: RootSystem) -> int:
+    """The order of W, or CapacityError if it is above WEYL_ORDER_LIMIT."""
     order = weyl_order(rs.spec)
     if order > WEYL_ORDER_LIMIT:
         raise CapacityError(
             f"Weyl group of {rs.spec} has order {order}, "
             f"above the enumeration limit {WEYL_ORDER_LIMIT}"
         )
-    gens = [simple_reflection(rs, i) for i in range(rs.rank)]
-    ident = identity_weyl(rs)
-    seen = {ident.images: ident}
-    frontier = [ident]
-    while frontier:
+    return order
+
+
+def weyl_group(rs: RootSystem) -> tuple[WeylElement, ...]:
+    """All Weyl group elements, sorted by (length, images).
+
+    Breadth-first from the identity by right multiplication with simple
+    reflections, so level k holds exactly the elements of length k; each
+    level is sorted by images.  Refuses to enumerate groups larger than
+    WEYL_ORDER_LIMIT elements.
+    """
+    order = check_enumerable(rs)
+    level = [identity_weyl(rs)]
+    seen = {level[0].images}
+    out: list[WeylElement] = []
+    while level:
+        out.extend(level)
         nxt = []
-        for w in frontier:
-            for s in gens:
-                prod = w.compose(s)
+        for w in level:
+            for i in range(rs.rank):
+                prod = w.times_simple(rs, i)
                 if prod.images not in seen:
-                    seen[prod.images] = prod
+                    seen.add(prod.images)
                     nxt.append(prod)
-        frontier = nxt
-    if len(seen) != order:
+        level = sorted(nxt)
+    if len(out) != order:
         raise AssertionError(
-            f"enumerated {len(seen)} elements of W({rs.spec}), expected {order}"
+            f"enumerated {len(out)} elements of W({rs.spec}), expected {order}"
         )
-    return tuple(sorted(seen.values(), key=lambda w: (weyl_length(rs, w), w.images)))
+    return tuple(out)
 
 
 def act(rs: RootSystem, w: WeylElement, x: Union[Root, Parameter]):
-    """Apply a Weyl element to a root or to a Parameter."""
+    """Apply a Weyl element to a root or to a Parameter.
+
+    On a parameter, (w lam)_j = lam(w^{-1}(alpha_j)-coroot).
+    """
     if isinstance(x, Parameter):
-        re_c, im_c = root_coords_of(rs, x)
-        new_re = _apply_to_coords(w, re_c)
-        new_im = _apply_to_coords(w, im_c)
-        return parameter_from_root_coords(rs, new_re, new_im)
+        if x.rank != rs.rank:
+            raise ValueError("parameter rank does not match root system rank")
+        return Parameter(*zip(*(_on_coroot(rs, b, x) for b in w.inverse(rs).images)))
     return w.apply_root(tuple(x))
-
-
-def _apply_to_coords(w: WeylElement, coords: Vec) -> Vec:
-    out = [Q(0)] * len(coords)
-    for j, c in enumerate(coords):
-        if c != 0:
-            for k, v in enumerate(w.images[j]):
-                out[k] += c * v
-    return tuple(out)

@@ -134,11 +134,9 @@ def component_split(rs: RootSystem, roots: Iterable[Root]) -> tuple[RootSet, ...
             i = parent[i]
         return i
 
-    gram = rs.gram
     for i, a in enumerate(items):
-        va = linalg.mat_vec(gram, linalg.vec(a))
         for j in range(i + 1, len(items)):
-            if linalg.dot(va, linalg.vec(items[j])) != 0:
+            if rs.root_pairing(items[j], a) != 0:
                 ri, rj = find(i), find(index[items[j]])
                 if ri != rj:
                     parent[ri] = rj

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction as Q
 
@@ -26,6 +27,7 @@ from rootneg.rootsys import (
     pairing,
     rho,
     weyl_group,
+    weyl_length,
 )
 
 
@@ -210,3 +212,39 @@ def test_move_class_respects_integral_walls():
 
                         flipped = act(rs, simple_reflection(rs, i), mu)
                         assert flipped in members
+
+
+def _interior_point_cone(rs, lam):
+    """C_lambda by signs at w(rho-coroot), with the chamber side read through
+    the Gram form: rho-coroot is sum over positive beta of beta / (beta, beta),
+    here scaled by the lcm of the (beta, beta) to integers."""
+    n = rs.rank
+
+    def form(x, y):
+        return sum(x[i] * rs.gram[i][j] * y[j] for i in range(n) for j in range(n))
+
+    lengths = {beta: form(beta, beta) for beta in rs.positive_roots}
+    scale = math.lcm(*lengths.values())
+    sigma_pos = [b for b in integral_roots(rs, lam, 1) if sum(b) > 0]
+    kept = []
+    for w in weyl_group(rs):
+        point = [0] * n
+        for beta, length in lengths.items():
+            point = [p + scale // length * x for p, x in zip(point, w.apply_root(beta))]
+        values = [form(alpha, point) for alpha in sigma_pos]
+        assert all(v != 0 for v in values)
+        if all(v > 0 for v in values):
+            kept.append(w)
+    return sorted(kept, key=lambda w: (weyl_length(rs, w), w.images))
+
+
+@pytest.mark.parametrize("name", ["B3", "BC3", "D4", "F4"])
+def test_c_lambda_matches_interior_point_oracle(name):
+    rs = build_root_system(name)
+    rng = random.Random(f"c_lambda/{name}")
+    for _ in range(2 if name == "F4" else 4):
+        lam = Parameter(
+            tuple(Q(rng.randint(-4, 4), rng.choice((1, 2, 2, 3))) for _ in range(rs.rank)),
+            tuple(Q(0) for _ in range(rs.rank)),
+        )
+        assert list(c_lambda(rs, lam).chambers) == _interior_point_cone(rs, lam)

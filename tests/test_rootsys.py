@@ -9,8 +9,10 @@ from rootneg.rootsys import (
     CapacityError,
     Parameter,
     RootSystemSpec,
+    WeylElement,
     act,
     build_root_system,
+    check_enumerable,
     dual,
     identity_weyl,
     pairing,
@@ -216,8 +218,8 @@ def test_weyl_action_is_a_group_action():
 def test_weyl_inverse():
     rs = build_root_system("B2")
     for w in weyl_group(rs):
-        assert w.compose(w.inverse()).is_identity()
-        assert w.inverse().compose(w).is_identity()
+        assert w.compose(w.inverse(rs)).is_identity()
+        assert w.inverse(rs).compose(w).is_identity()
 
 
 def test_act_compatible_with_pairing():
@@ -250,3 +252,110 @@ def test_identity_weyl():
     e = identity_weyl(rs)
     assert e.is_identity()
     assert weyl_length(rs, e) == 0
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the integer kernels against Fraction constructions written here.
+
+ORACLE_TYPES = ("BC3", "G2", "B2xG2", "F4")
+
+
+def _oracle_pairing(rs, lam, beta):
+    """lam on the coroot sum_j b_j (a_j, a_j)/(beta, beta) a_j-coroot, in Fractions."""
+    gram = [[Q(x) for x in row] for row in rs.gram]
+    n = rs.rank
+    length = sum(beta[i] * gram[i][j] * beta[j] for i in range(n) for j in range(n))
+    coeffs = [b * gram[j][j] / length for j, b in enumerate(beta)]
+    return (sum((c * x for c, x in zip(coeffs, lam.re)), Q(0)),
+            sum((c * x for c, x in zip(coeffs, lam.im)), Q(0)))
+
+
+def _oracle_act(rs, w, lam):
+    """Parameter -> root coordinates -> images of w -> Cartan matrix, in Fractions."""
+    n = rs.rank
+    parts = []
+    for values in root_coords_of(rs, lam):
+        moved = [sum((values[j] * w.images[j][k] for j in range(n)), Q(0)) for k in range(n)]
+        parts.append(tuple(sum(rs.cartan[i][k] * moved[k] for k in range(n)) for i in range(n)))
+    return Parameter(*parts)
+
+
+def _seeded_parameter(rng, rank):
+    return Parameter(
+        tuple(Q(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rank)),
+        tuple(Q(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(rank)),
+    )
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+def test_pairing_matches_fraction_oracle_on_every_root(name):
+    rs = build_root_system(name)
+    rng = random.Random(f"pairing/{name}")
+    for _ in range(5):
+        lam = _seeded_parameter(rng, rs.rank)
+        for beta in rs.roots:
+            assert pairing(rs, lam, beta) == _oracle_pairing(rs, lam, beta)
+
+
+def test_bc_doubled_roots_have_half_coroot_coefficients():
+    rs = build_root_system("BC3")
+    lam = Parameter.of([0, 0, 1])
+    # the coroot of 2 alpha_3 is half the coroot of alpha_3
+    assert pairing(rs, lam, (0, 0, 2)) == (Q(1, 2), Q(0))
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+def test_act_matches_fraction_oracle(name):
+    rs = build_root_system(name)
+    rng = random.Random(f"act/{name}")
+    lam = _seeded_parameter(rng, rs.rank)
+    for w in weyl_group(rs):
+        assert act(rs, w, lam) == _oracle_act(rs, w, lam)
+    # and on the reflection in every root
+    for alpha in rs.roots:
+        s_alpha = WeylElement(tuple(rs.reflect(alpha, a) for a in rs.simple_roots))
+        assert act(rs, s_alpha, lam) == _oracle_act(rs, s_alpha, lam)
+
+
+def _closure_by_composition(rs):
+    """W as the closure of the identity under composition with simple reflections."""
+    gens = [simple_reflection(rs, i) for i in range(rs.rank)]
+    seen = {identity_weyl(rs)}
+    frontier = set(seen)
+    while frontier:
+        frontier = {g.compose(w) for w in frontier for g in gens} - seen
+        seen |= frontier
+    return seen
+
+
+RANK_LE_4 = (
+    "A1", "A2", "A3", "A4", "B1", "B2", "B3", "B4", "C1", "C2", "C3", "C4",
+    "BC1", "BC2", "BC3", "BC4", "D2", "D3", "D4", "G2", "F4",
+    "A1xA1", "A1xBC2", "B2xG2", "A2xA2",
+)
+
+
+@pytest.mark.parametrize("name", RANK_LE_4)
+def test_weyl_group_order_is_length_then_images(name):
+    rs = build_root_system(name)
+    expected = sorted(_closure_by_composition(rs), key=lambda w: (weyl_length(rs, w), w.images))
+    assert list(weyl_group(rs)) == expected
+
+
+def test_integer_inverse_on_all_of_f4():
+    rs = build_root_system("F4")
+    for w in weyl_group(rs):
+        inv = w.inverse(rs)
+        assert w.compose(inv).is_identity()
+        assert inv.compose(w).is_identity()
+        assert weyl_length(rs, inv) == weyl_length(rs, w)
+
+
+def test_check_enumerable_is_the_weyl_group_guard():
+    message = "Weyl group of E7 has order 2903040, above the enumeration limit 1000000"
+    rs = build_root_system("E7")
+    with pytest.raises(CapacityError, match=message):
+        check_enumerable(rs)
+    with pytest.raises(CapacityError, match=message):
+        weyl_group(rs)
+    assert check_enumerable(build_root_system("F4")) == 1152
