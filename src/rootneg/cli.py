@@ -15,6 +15,7 @@ integer arrays; Weyl group elements appear as 1-based reduced words.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -408,7 +409,9 @@ _COMMANDS: dict[str, Callable[[argparse.Namespace], tuple[JsonDoc, int]]] = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing does not change it)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--pretty", action="store_true", help="indent the JSON output"

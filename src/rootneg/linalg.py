@@ -29,17 +29,8 @@ def identity(n: int) -> Mat:
     return tuple(tuple(Q(1) if i == j else Q(0) for j in range(n)) for i in range(n))
 
 
-def add(x: Vec, y: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(x, y, strict=True))
-
-
 def sub(x: Vec, y: Vec) -> Vec:
     return tuple(a - b for a, b in zip(x, y, strict=True))
-
-
-def scale(c, x: Vec) -> Vec:
-    c = Q(c)
-    return tuple(c * a for a in x)
 
 
 def dot(x: Sequence, y: Sequence) -> Q:

@@ -6,7 +6,7 @@ integral) or strictly negative (strict) on the dominant chamber, with
 equality allowed only along a designated subspace a_lambda of the chamber
 side.  On the simplicial chamber the conditions reduce to finitely many
 exact rational inequalities at the fundamental coweights, decided by the
-rational simplex.
+simplex, which works on a fraction-free integer tableau.
 
 a_lambda is always an explicit input; passing None selects the documented
 default (the whole chamber side), under which the strict clauses of the weak
@@ -16,18 +16,15 @@ and integral modes are vacuous.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
-from fractions import Fraction as Q
-from typing import Literal, Mapping, Optional, Union
+from typing import Literal, Optional, Union
 
 from . import linalg
 from .lattice import hermite_row_basis, lattice_index
 from .linalg import Vec
 from .params import (
-    ChamberSet,
-    ParameterClass,
     SubspaceBasis,
-    act_coweight,
     equivalence_class,
     full_space,
     gallery_class,
@@ -39,7 +36,7 @@ from .rootsys import (
     RootSystem,
     RootSystemSpec,
     WeylElement,
-    act,
+    act_by_inverse,
     build_root_system,
     pairing,
     root_coords_of,
@@ -54,7 +51,10 @@ from .subsystems import (
 
 Mode = Literal["weak", "integral", "strict"]
 
-SubspaceAssignment = Union[None, SubspaceBasis, Mapping[Parameter, SubspaceBasis]]
+# Built with | rather than typing.Union: typing caches its subscriptions, and
+# that cache would keep these classes (and through them this module's
+# globals) alive after the package is dropped from sys.modules.
+SubspaceAssignment = SubspaceBasis | Mapping[Parameter, SubspaceBasis] | None
 
 
 @dataclass(frozen=True)
@@ -126,13 +126,27 @@ class FundamentalLemmaReport:
 def span_basis_of_integral_roots(
     rs: RootSystem, sigma: tuple[Root, ...]
 ) -> tuple[Root, ...]:
-    """First maximal independent subset of the positive integral roots."""
+    """First maximal independent subset of the positive integral roots.
+
+    One integer echelon grows with the basis: a root joins when it does not
+    reduce to zero against the rows kept so far.
+    """
     basis: list[Root] = []
+    echelon: list[tuple[int, list[int]]] = []  # (pivot column, row)
     for beta in sigma:
         if sum(beta) <= 0:
             continue
-        if linalg.rank(basis + [beta]) > len(basis):
+        v = list(beta)
+        for p, row in echelon:
+            f = v[p]
+            if f:
+                v = [x * row[p] - f * y for x, y in zip(v, row)]
+        p = next((j for j, x in enumerate(v) if x), None)
+        if p is not None:
+            echelon.append((p, v))
             basis.append(beta)
+            if len(basis) == rs.rank:
+                break
     return tuple(basis)
 
 
@@ -159,29 +173,31 @@ def check_negativity(rs: RootSystem, q: NegativityQuery) -> NegativityVerdict:
     re_c, im_c = root_coords_of(rs, q.lam)
     if q.mode == "integral":
         assert a_lambda is not None
-        for v in a_lambda.vectors:
-            if linalg.dot(im_c, v) != 0:
-                return NegativityVerdict(False, None, (), basis)
+        if any(linalg.dot(im_c, v) for v in a_lambda.vectors):
+            return NegativityVerdict(False, None, (), basis)
 
     rows = []
     for i in range(rs.rank):
-        coeffs = [-Q(beta[i]) for beta in basis]
+        coeffs = [-beta[i] for beta in basis]
         if q.mode == "strict":
             rel = "<"
         else:
             assert a_lambda is not None
-            coweight = tuple(
-                Q(1) if j == i else Q(0) for j in range(rs.rank)
-            )
+            coweight = tuple(1 if j == i else 0 for j in range(rs.rank))
             rel = "<=" if a_lambda.contains(coweight) else "<"
         rows.append((coeffs, rel, -re_c[i]))
     ok, y = feasible_mixed(rows, len(basis))
     if not ok:
         return NegativityVerdict(False, None, (), basis)
     assert y is not None
+    # Re lam - omega at each fundamental coweight, times a common denominator.
+    scale = math.lcm(*(x.denominator for x in y + re_c))
+    y_int = [x.numerator * (scale // x.denominator) for x in y]
     tight = []
     for i in range(rs.rank):
-        value = re_c[i] - sum(y[k] * basis[k][i] for k in range(len(basis)))
+        value = re_c[i].numerator * (scale // re_c[i].denominator) - sum(
+            yk * beta[i] for yk, beta in zip(y_int, basis)
+        )
         if value == 0:
             tight.append(i)
         elif value > 0:
@@ -190,10 +206,8 @@ def check_negativity(rs: RootSystem, q: NegativityQuery) -> NegativityVerdict:
 
 
 def _subspace_for(
-    rs: RootSystem, subspaces: SubspaceAssignment, mu: Parameter
+    subspaces: SubspaceBasis | Mapping[Parameter, SubspaceBasis], mu: Parameter
 ) -> SubspaceBasis:
-    if subspaces is None:
-        return full_space(rs)
     if isinstance(subspaces, SubspaceBasis):
         return subspaces
     if mu not in subspaces:
@@ -217,11 +231,13 @@ def check_class_negativity(
     """
     if mode == "strict" and subspaces is not None:
         raise ValueError("strict mode takes no subspace assignment")
+    if subspaces is None and mode != "strict":
+        subspaces = full_space(rs)
     cls = equivalence_class(rs, lam, denominator)
     members = []
     ok = True
     for w, mu in cls.members:
-        a_mu = None if mode == "strict" else _subspace_for(rs, subspaces, mu)
+        a_mu = None if mode == "strict" else _subspace_for(subspaces, mu)
         verdict = check_negativity(
             rs, NegativityQuery(mu, mode, a_mu, denominator)
         )
@@ -298,18 +314,17 @@ def verify_fundamental_lemma(
     edge_rows = [linalg.vec(b) for b in sigma_pos]
     edge_basis = SubspaceBasis(rs.rank, linalg.nullspace(edge_rows, ncols=rs.rank))
 
+    assigned = full_space(rs) if mode == "strict" or subspaces is None else subspaces
     gallery = gallery_class(rs, lam)
     containing: Optional[tuple[WeylElement, SubspaceBasis]] = None
     for u in gallery.chambers:
-        w = u.inverse(rs)
-        mu = act(rs, w, lam)
-        a_mu = (
-            full_space(rs)
-            if mode == "strict"
-            else _subspace_for(rs, subspaces, mu)
-        )
-        if all(a_mu.contains(act_coweight(rs, w, v)) for v in edge_basis.vectors):
-            containing = (w, a_mu)
+        # w = u^{-1}: w lam and w(X)_j = (u alpha_j)(X) read u directly.
+        a_mu = _subspace_for(assigned, act_by_inverse(rs, u, lam))
+        if all(
+            a_mu.contains(tuple(linalg.dot(img, v) for img in u.images))
+            for v in edge_basis.vectors
+        ):
+            containing = (u.inverse(rs), a_mu)
             break
 
     re_c, im_c = root_coords_of(rs, lam)

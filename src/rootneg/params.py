@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Mapping, Optional, Union
 
 from . import linalg
 from .linalg import Vec
@@ -36,7 +35,11 @@ from .subsystems import Subsystem, subsystem_label
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """A subspace of the chamber side, spanned by rows in coweight coordinates."""
+    """A subspace of the chamber side, spanned by rows in coweight coordinates.
+
+    The reduced row echelon form of the rows is computed once, on
+    construction; membership reduces a vector against it.
+    """
 
     ambient_dim: int
     vectors: tuple[Vec, ...]
@@ -47,15 +50,24 @@ class SubspaceBasis:
         for v in vecs:
             if len(v) != self.ambient_dim:
                 raise ValueError("basis vector length does not match ambient dimension")
-        if linalg.rank(vecs) != len(vecs):
+        echelon = linalg.rref(vecs)
+        if len(echelon[0]) != len(vecs):
             raise ValueError("subspace basis vectors are linearly dependent")
+        object.__setattr__(self, "_echelon", tuple(zip(*echelon)))
 
     @property
     def dim(self) -> int:
         return len(self.vectors)
 
     def contains(self, x: Vec) -> bool:
-        return linalg.in_span(linalg.span_basis(self.vectors), linalg.vec(x))
+        rest = list(linalg.vec(x))
+        if len(rest) != self.ambient_dim:
+            raise ValueError("vector length does not match ambient dimension")
+        for row, p in self._echelon:
+            f = rest[p]
+            if f:
+                rest = [a - f * b for a, b in zip(rest, row)]
+        return not any(rest)
 
 
 def full_space(rs: RootSystem) -> SubspaceBasis:
@@ -100,12 +112,27 @@ def value_in_fraction_of_z(re: Q, im: Q, denominator: int = 1) -> bool:
 
 
 def integral_roots(rs: RootSystem, lam: Parameter, denominator: int = 1) -> tuple[Root, ...]:
-    """Roots whose coroot pairing with lam lies in (1/denominator)Z, sorted."""
+    """Roots whose coroot pairing with lam lies in (1/denominator)Z, sorted.
+
+    The test is value_in_fraction_of_z on the pairing, done on the integer
+    sums of rootsys.pairing: the pairing is re_sum / (d (beta, beta)) plus
+    i im_sum / (d (beta, beta)), d the common denominator of lam.
+    """
+    if denominator < 1:
+        raise ValueError("denominator must be a positive integer")
+    if lam.rank != rs.rank:
+        raise ValueError("parameter rank does not match root system rank")
+    d, re, im = lam._scaled
+    diag = [rs.gram[j][j] for j in range(rs.rank)]
     out = []
-    for beta in rs.roots:
-        re, im = pairing(rs, lam, beta)
-        if value_in_fraction_of_z(re, im, denominator):
+    for beta in rs.positive_roots:
+        coeffs = [b * g for b, g in zip(beta, diag)]
+        if sum(c * x for c, x in zip(coeffs, im)):
+            continue
+        re_sum = sum(c * x for c, x in zip(coeffs, re))
+        if denominator * re_sum % (d * rs.length_sq(beta)) == 0:
             out.append(beta)
+            out.append(tuple(-b for b in beta))
     return tuple(sorted(out))
 
 

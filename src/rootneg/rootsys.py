@@ -21,7 +21,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Union
 
 from . import linalg
-from .linalg import Mat, Vec
+from .linalg import Vec
 
 Root = tuple[int, ...]
 
@@ -219,7 +219,13 @@ class RootSystem:
         self.cartan: tuple[tuple[int, ...], ...] = tuple(
             tuple(row) for row in _cartan_from_gram(self.gram)
         )
-        self.cartan_inv: Mat = linalg.inverse(linalg.mat(self.cartan))
+        # The inverse Cartan matrix as integers over one common denominator.
+        cartan_inv = linalg.inverse(linalg.mat(self.cartan))
+        self._cartan_inv_den = math.lcm(*(x.denominator for row in cartan_inv for x in row))
+        self._cartan_inv = tuple(
+            tuple(x.numerator * (self._cartan_inv_den // x.denominator) for x in row)
+            for row in cartan_inv
+        )
         self.simple_roots: tuple[Root, ...] = tuple(
             tuple(1 if j == i else 0 for j in range(self.rank)) for i in range(self.rank)
         )
@@ -255,21 +261,8 @@ class RootSystem:
     def __hash__(self) -> int:
         return hash(self.spec)
 
-    @property
-    def fundamental_coweights(self) -> Mat:
-        """Row i: the i-th fundamental coweight over the simple coroot basis."""
-        return self.cartan_inv
-
-    @property
-    def fundamental_weights(self) -> Mat:
-        """Row i: the i-th fundamental weight over the simple root basis."""
-        return linalg.transpose(self.cartan_inv)
-
     def contains(self, beta: Root) -> bool:
         return tuple(beta) in self._root_set
-
-    def is_positive(self, beta: Root) -> bool:
-        return tuple(beta) in self._root_set and sum(beta) > 0
 
     def is_indivisible(self, beta: Root) -> bool:
         if tuple(beta) not in self._root_set:
@@ -286,9 +279,6 @@ class RootSystem:
             return None
         half = tuple(b // 2 for b in beta)
         return half if half in self._root_set else None
-
-    def height(self, beta: Root) -> int:
-        return sum(beta)
 
     def length_sq(self, beta: Root) -> int:
         return self._len_sq[tuple(beta)]
@@ -404,10 +394,18 @@ def _on_coroot(rs: RootSystem, beta: Root, lam: Parameter) -> tuple[Q, Q]:
 
 
 def root_coords_of(rs: RootSystem, lam: Parameter) -> tuple[Vec, Vec]:
-    """Coordinates of lam over the simple roots (real and imaginary parts)."""
+    """Coordinates of lam over the simple roots (real and imaginary parts).
+
+    Each is the integer inverse Cartan matrix times lam's scaled entries,
+    over the product of the two common denominators.
+    """
+    if lam.rank != rs.rank:
+        raise ValueError("dimension mismatch")
+    d, re, im = lam._scaled
+    d *= rs._cartan_inv_den
     return (
-        linalg.mat_vec(rs.cartan_inv, linalg.vec(lam.re)),
-        linalg.mat_vec(rs.cartan_inv, linalg.vec(lam.im)),
+        tuple(Q(sum(a * x for a, x in zip(row, re)), d) for row in rs._cartan_inv),
+        tuple(Q(sum(a * x for a, x in zip(row, im)), d) for row in rs._cartan_inv),
     )
 
 
@@ -584,7 +582,16 @@ def act(rs: RootSystem, w: WeylElement, x: Union[Root, Parameter]):
     On a parameter, (w lam)_j = lam(w^{-1}(alpha_j)-coroot).
     """
     if isinstance(x, Parameter):
-        if x.rank != rs.rank:
-            raise ValueError("parameter rank does not match root system rank")
-        return Parameter(*zip(*(_on_coroot(rs, b, x) for b in w.inverse(rs).images)))
+        return act_by_inverse(rs, w.inverse(rs), x)
     return w.apply_root(tuple(x))
+
+
+def act_by_inverse(rs: RootSystem, v: WeylElement, lam: Parameter) -> Parameter:
+    """The parameter w lam for w = v^{-1}, read off v's images.
+
+    (w lam)_j = lam(v(alpha_j)-coroot), so a caller that holds v saves
+    inverting w.
+    """
+    if lam.rank != rs.rank:
+        raise ValueError("parameter rank does not match root system rank")
+    return Parameter(*zip(*(_on_coroot(rs, b, lam) for b in v.images)))

@@ -1,6 +1,20 @@
-"""Two-phase simplex over exact rationals.
+"""Two-phase simplex on an integer tableau.
 
-Solves max c.x subject to A x <= b, x >= 0 with every number a Fraction.
+Solves max c.x subject to A x <= b, x >= 0 for rational data.  Every row of
+A and b is multiplied by one common L, the least common multiple of their
+denominators, and gets a unit slack (and, where b is negative, a unit
+artificial) column.  That rescales the slacks and artificials uniformly and
+leaves x unchanged, so every reduced cost keeps its sign and every ratio
+test its order: the pivot sequence is the one of the rational tableau.
+
+Pivots are fraction-free (Edmonds; Bareiss 1968).  The tableau T holds
+integers over one common denominator D, the absolute value of the basis
+determinant; pivoting on p = T[r][c] sets T[i][j] to
+(T[i][j] p - T[i][c] T[r][j]) / D, an exact division, and then D to p.
+The tableau is negated when p < 0, so D stays positive and every entry has
+the sign of the rational entry it stands for.  Ratios are compared by
+cross-multiplication, and a basic variable's value is rhs / D.
+
 Bland's rule is used for both entering and leaving choices, so the method
 terminates without any cycling safeguards beyond it.  Problem sizes here are
 tiny (tens of rows); clarity wins over sparse cleverness.
@@ -8,6 +22,7 @@ tiny (tens of rows); clarity wins over sparse cleverness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Literal, Optional, Sequence
@@ -22,6 +37,15 @@ class LPSolution:
     objective: Optional[Q]
 
 
+def _rational(x):
+    return x if isinstance(x, (int, Q)) else Q(x)
+
+
+def _integers(xs: list, scale: int) -> list[int]:
+    """scale * x for each rational x, where scale clears every denominator."""
+    return [x.numerator * (scale // x.denominator) for x in xs]
+
+
 def maximize(
     c: Sequence, a_ub: Sequence[Sequence], b_ub: Sequence
 ) -> LPSolution:
@@ -34,67 +58,74 @@ def maximize(
     if len(b_ub) != m:
         raise ValueError("right-hand side length does not match constraints")
 
+    a = [[_rational(x) for x in row] for row in a_ub]
+    b = [_rational(x) for x in b_ub]
+    scale = math.lcm(*(x.denominator for row in a for x in row), *(x.denominator for x in b))
+
     # Tableau columns: n structural, m slacks, artificials appended as needed.
-    rows: list[list[Q]] = []
-    rhs: list[Q] = []
+    rows: list[list[int]] = []
+    rhs: list[int] = []
     basis: list[int] = []
     art_cols: list[int] = []
     total = n + m
-    for i in range(m):
-        coeffs = [Q(x) for x in a_ub[i]] + [Q(0)] * m
-        coeffs[n + i] = Q(1)
-        b_i = Q(b_ub[i])
+    for i, b_i in enumerate(_integers(b, scale)):
+        coeffs = _integers(a[i], scale) + [0] * m
+        coeffs[n + i] = 1
         if b_i < 0:
             coeffs = [-x for x in coeffs]
             b_i = -b_i
             art = total
             total += 1
             for r in rows:
-                r.append(Q(0))
-            coeffs.append(Q(1))
+                r.append(0)
+            coeffs.append(1)
             art_cols.append(art)
             basis.append(art)
         else:
-            coeffs += [Q(0)] * len(art_cols)
+            coeffs += [0] * len(art_cols)
             basis.append(n + i)
         rows.append(coeffs)
         rhs.append(b_i)
     for r in rows:
-        r.extend([Q(0)] * (total - len(r)))
+        r.extend([0] * (total - len(r)))
 
     banned: set[int] = set()
+    d = 1  # the common denominator of the tableau
 
-    def run(cost: list[Q]) -> Status:
+    def run(cost: list[int]) -> Status:
+        nonlocal d
         while True:
-            dual = [cost[basis[i]] for i in range(m)]
+            # d times each reduced cost, which has the same sign.
+            dual = [(rows[i], cost[basis[i]]) for i in range(m) if cost[basis[i]]]
             entering = None
             for j in range(total):
                 if j in banned:
                     continue
-                reduced = cost[j] - sum(dual[i] * rows[i][j] for i in range(m))
-                if reduced > 0:
+                if cost[j] * d - sum(y * row[j] for row, y in dual) > 0:
                     entering = j
                     break
             if entering is None:
                 return "optimal"
             leaving = None
-            best: Optional[Q] = None
             for i in range(m):
-                if rows[i][entering] > 0:
-                    ratio = rhs[i] / rows[i][entering]
-                    if best is None or ratio < best or (
-                        ratio == best and basis[i] < basis[leaving]
-                    ):
-                        best = ratio
+                a_ie = rows[i][entering]
+                if a_ie > 0:
+                    if leaving is None:
+                        leaving = i
+                        continue
+                    # rhs[i] / a_ie against rhs[leaving] / a_le by cross-multiplying
+                    left = rhs[i] * rows[leaving][entering]
+                    right = rhs[leaving] * a_ie
+                    if left < right or (left == right and basis[i] < basis[leaving]):
                         leaving = i
             if leaving is None:
                 return "unbounded"
-            _pivot(rows, rhs, basis, leaving, entering)
+            d = _pivot(rows, rhs, basis, leaving, entering, d)
 
     if art_cols:
-        cost1 = [Q(0)] * total
-        for a in art_cols:
-            cost1[a] = Q(-1)
+        cost1 = [0] * total
+        for a_col in art_cols:
+            cost1[a_col] = -1
         status = run(cost1)
         if status != "optimal":
             raise AssertionError("phase 1 cannot be unbounded")
@@ -107,31 +138,44 @@ def maximize(
                     (j for j in range(n + m) if rows[i][j] != 0), None
                 )
                 if entering is not None:
-                    _pivot(rows, rhs, basis, i, entering)
+                    d = _pivot(rows, rhs, basis, i, entering, d)
         banned.update(art_cols)
 
-    cost2 = [Q(x) for x in c] + [Q(0)] * (total - n)
+    c_q = [_rational(x) for x in c]
+    cost2 = _integers(c_q, math.lcm(*(x.denominator for x in c_q))) + [0] * (total - n)
     status = run(cost2)
     if status == "unbounded":
         return LPSolution("unbounded", None, None)
     x = [Q(0)] * n
     for i in range(m):
         if basis[i] < n:
-            x[basis[i]] = rhs[i]
-    value = sum(Q(ci) * xi for ci, xi in zip(c, x))
+            x[basis[i]] = Q(rhs[i], d)
+    value = sum(ci * xi for ci, xi in zip(c_q, x))
     return LPSolution("optimal", tuple(x), value)
 
 
-def _pivot(rows: list[list[Q]], rhs: list[Q], basis: list[int], r: int, col: int) -> None:
-    inv = Q(1) / rows[r][col]
-    rows[r] = [x * inv for x in rows[r]]
-    rhs[r] *= inv
+def _pivot(
+    rows: list[list[int]], rhs: list[int], basis: list[int], r: int, col: int, d: int
+) -> int:
+    """One fraction-free pivot on rows[r][col]; returns the new denominator."""
+    p = rows[r][col]
+    sign = -1 if p < 0 else 1
+    row_r, rhs_r = rows[r], rhs[r]
     for i in range(len(rows)):
-        if i != r and rows[i][col] != 0:
-            f = rows[i][col]
-            rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-            rhs[i] -= f * rhs[r]
+        if i == r:
+            continue
+        f = rows[i][col]
+        if f:
+            rows[i] = [sign * (x * p - f * y) // d for x, y in zip(rows[i], row_r)]
+            rhs[i] = sign * (rhs[i] * p - f * rhs_r) // d
+        else:
+            rows[i] = [sign * x * p // d for x in rows[i]]
+            rhs[i] = sign * rhs[i] * p // d
+    if sign < 0:
+        rows[r] = [-x for x in row_r]
+        rhs[r] = -rhs_r
     basis[r] = col
+    return sign * p
 
 
 def feasible_mixed(
@@ -146,23 +190,19 @@ def feasible_mixed(
     Returns (feasible, y) with y a rational witness.
     """
     # Variables: y split into positive/negative parts, then t.
-    ncols = 2 * nvars + 1
-    a_ub: list[list[Q]] = []
-    b_ub: list[Q] = []
+    a_ub: list[list] = []
+    b_ub: list = []
     for coeffs, rel, bound in rows:
         if rel not in ("<", "<="):
             raise ValueError(f"unknown relation {rel!r}")
-        row = []
-        for x in coeffs:
-            row.append(Q(x))
+        row = [_rational(x) for x in coeffs]
         if len(row) != nvars:
             raise ValueError("row length does not match variable count")
-        full = row + [-x for x in row] + [Q(1) if rel == "<" else Q(0)]
-        a_ub.append(full)
-        b_ub.append(Q(bound))
-    a_ub.append([Q(0)] * (2 * nvars) + [Q(1)])
-    b_ub.append(Q(1))
-    objective = [Q(0)] * (2 * nvars) + [Q(1)]
+        a_ub.append(row + [-x for x in row] + [1 if rel == "<" else 0])
+        b_ub.append(bound)
+    a_ub.append([0] * (2 * nvars) + [1])
+    b_ub.append(1)
+    objective = [0] * (2 * nvars) + [1]
     sol = maximize(objective, a_ub, b_ub)
     if sol.status == "infeasible":
         return False, None

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction as Q
 from typing import Iterable, Literal, Optional
 
 from . import linalg
@@ -29,7 +28,6 @@ from .rootsys import (
     RootSystemSpec,
     WeylElement,
     weyl_group,
-    weyl_order,
 )
 
 RootSet = frozenset[Root]

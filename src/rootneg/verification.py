@@ -36,6 +36,7 @@ from .rootsys import (
     Parameter,
     RootSystem,
     act,
+    act_by_inverse,
     build_root_system,
     dual,
     pairing,
@@ -144,7 +145,7 @@ def check_move_class_matches_gallery(
     def check(rs: RootSystem, lam: Parameter) -> Optional[str]:
         members = set(mu for _, mu in equivalence_class(rs, lam, 1).members)
         orbit = set(
-            act(rs, u.inverse(rs), lam) for u in gallery_class(rs, lam).chambers
+            act_by_inverse(rs, u, lam) for u in gallery_class(rs, lam).chambers
         )
         if members != orbit:
             return f"{len(members)} move-class members vs {len(orbit)} gallery images"

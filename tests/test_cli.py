@@ -273,3 +273,27 @@ def test_installed_console_script():
     )
     assert result.returncode == 0
     assert result.stdout.strip() == '{"bound":"72"}'
+
+
+_REIMPORT_SCRIPT = """
+import contextlib, gc, importlib, io, sys, weakref
+cli = importlib.import_module("rootneg.cli")
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.run(["negativity", "--type", "B2", "--re", "-1,-1", "--mode", "weak", "--subspace", "1,0"])
+old = weakref.ref(sys.modules["rootneg.rootsys"].Parameter)
+del cli
+for name in [n for n in sys.modules if n == "rootneg" or n.startswith("rootneg.")]:
+    del sys.modules[name]
+importlib.import_module("rootneg.cli")
+gc.collect()
+print("dead" if old() is None else "alive")
+"""
+
+
+def test_reimport_releases_the_old_modules():
+    # a fresh interpreter, since this process's test modules hold the classes
+    done = subprocess.run(
+        [sys.executable, "-c", _REIMPORT_SCRIPT],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout.strip() == "dead"

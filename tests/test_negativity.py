@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
@@ -18,8 +19,8 @@ from rootneg.negativity import (
     verify_fundamental_lemma,
     weight_lattice_basis,
 )
-from rootneg.params import SubspaceBasis, full_space, integral_roots
-from rootneg.rootsys import Parameter, build_root_system, rho
+from rootneg.params import SubspaceBasis, full_space, gallery_class, integral_roots
+from rootneg.rootsys import Parameter, WeylElement, build_root_system, rho
 
 
 def test_query_validation():
@@ -271,3 +272,51 @@ def test_witness_actually_certifies():
                     c * Q(beta[i]) for c, beta in zip(v.witness_omega, v.span_basis)
                 )
                 assert re_root[i] - omega_i < 0
+
+
+def _rank_span_basis(sigma):
+    """The first maximal independent subset, by rank growth (the definition)."""
+    basis = []
+    for beta in sigma:
+        if sum(beta) > 0 and linalg.rank(basis + [beta]) > len(basis):
+            basis.append(beta)
+    return tuple(basis)
+
+
+@pytest.mark.parametrize("name", ["A3", "BC3", "G2", "D4", "F4", "B2xG2", "C3xA1"])
+def test_span_basis_matches_rank_definition(name):
+    rs = build_root_system(name)
+    rng = random.Random(f"span_basis/{name}")
+    for _ in range(20):
+        lam = Parameter.of([Q(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(rs.rank)])
+        sigma = integral_roots(rs, lam, rng.choice((1, 2)))
+        assert span_basis_of_integral_roots(rs, sigma) == _rank_span_basis(sigma)
+        # arbitrary root orders too, not only the sorted integral sets
+        shuffled = list(rs.roots)
+        rng.shuffle(shuffled)
+        subset = tuple(shuffled[: rng.randint(0, len(shuffled))])
+        assert span_basis_of_integral_roots(rs, subset) == _rank_span_basis(subset)
+
+
+def test_fundamental_lemma_inverts_each_chamber_at_most_once(monkeypatch):
+    # a one-dimensional edge and a subspace that no gallery member satisfies,
+    # so the search visits every chamber of the gallery
+    rs = build_root_system("F4")
+    lam = Parameter.of([Q(1, 2), Q(1, 3), 1, -1])
+    sub = SubspaceBasis(4, ((0, 0, 1, 0),))
+    assert len(gallery_class(rs, lam)) > 1
+    original = WeylElement.inverse
+    calls = Counter()
+
+    def counting(self, rs_):
+        calls[self] += 1
+        return original(self, rs_)
+
+    monkeypatch.setattr(WeylElement, "inverse", counting)
+    check_class_negativity(rs, lam, "weak", sub)
+    in_class_check = Counter(calls)
+    calls.clear()
+    report = verify_fundamental_lemma(rs, lam, "weak", sub)
+    assert report.containing_member is None and report.edge_basis.dim == 1
+    calls.subtract(in_class_check)
+    assert max(calls.values(), default=0) <= 1

@@ -6,6 +6,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from rootneg import linalg
 from rootneg.params import (
     SubspaceBasis,
     act_coweight,
@@ -248,3 +249,52 @@ def test_c_lambda_matches_interior_point_oracle(name):
             tuple(Q(0) for _ in range(rs.rank)),
         )
         assert list(c_lambda(rs, lam).chambers) == _interior_point_cone(rs, lam)
+
+
+@pytest.mark.parametrize("name", ["BC3", "G2", "F4", "B2xG2"])
+@pytest.mark.parametrize("denominator", [1, 2, 3])
+def test_integral_roots_match_pairing_oracle(name, denominator):
+    rs = build_root_system(name)
+    rng = random.Random(f"integral_roots/{name}/{denominator}")
+    for k in range(12):
+        re = tuple(Q(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6))) for _ in range(rs.rank))
+        # half of the parameters are real, the rest have a sparse imaginary part
+        im = tuple(
+            Q(0) if k % 2 == 0 or rng.random() < 0.6 else Q(rng.randint(-2, 2), rng.randint(1, 3))
+            for _ in range(rs.rank)
+        )
+        lam = Parameter(re, im)
+        expected = tuple(sorted(
+            beta for beta in rs.roots
+            if value_in_fraction_of_z(*pairing(rs, lam, beta), denominator)
+        ))
+        assert integral_roots(rs, lam, denominator) == expected
+
+
+def test_integral_roots_validate_inputs():
+    rs = build_root_system("B2")
+    with pytest.raises(ValueError):
+        integral_roots(rs, Parameter.of([1, 1]), 0)
+    with pytest.raises(ValueError):
+        integral_roots(rs, Parameter.of([1, 1, 1]), 1)
+
+
+def test_subspace_contains_matches_in_span():
+    rng = random.Random("subspace_contains")
+    values = (Q(0), Q(0), Q(1), Q(-1), Q(2), Q(1, 2), Q(-2, 3))
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        rows = [tuple(rng.choice(values) for _ in range(n)) for _ in range(rng.randint(0, n))]
+        vectors = linalg.span_basis(rows) if rng.random() < 0.3 else tuple(
+            r for i, r in enumerate(rows) if linalg.rank(rows[: i + 1]) > linalg.rank(rows[:i])
+        )
+        sub = SubspaceBasis(n, vectors)
+        for _ in range(4):
+            if vectors and rng.random() < 0.5:
+                coeffs = [rng.choice(values) for _ in vectors]
+                x = tuple(sum((c * v[j] for c, v in zip(coeffs, vectors)), Q(0)) for j in range(n))
+            else:
+                x = tuple(rng.choice(values) for _ in range(n))
+            assert sub.contains(x) == linalg.in_span(linalg.span_basis(vectors), x)
+    with pytest.raises(ValueError):
+        SubspaceBasis(2, ((Q(1), Q(0)),)).contains((Q(1),))

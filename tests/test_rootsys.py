@@ -5,12 +5,14 @@ from fractions import Fraction as Q
 
 import pytest
 
+from rootneg import linalg
 from rootneg.rootsys import (
     CapacityError,
     Parameter,
     RootSystemSpec,
     WeylElement,
     act,
+    act_by_inverse,
     build_root_system,
     check_enumerable,
     dual,
@@ -359,3 +361,28 @@ def test_check_enumerable_is_the_weyl_group_guard():
     with pytest.raises(CapacityError, match=message):
         weyl_group(rs)
     assert check_enumerable(build_root_system("F4")) == 1152
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES + ("A3", "D4", "E6"))
+def test_root_coords_of_matches_fraction_inverse(name):
+    rs = build_root_system(name)
+    inv = linalg.inverse(linalg.mat(rs.cartan))
+    rng = random.Random(f"root_coords/{name}")
+    for _ in range(10):
+        lam = _seeded_parameter(rng, rs.rank)
+        assert root_coords_of(rs, lam) == (
+            linalg.mat_vec(inv, linalg.vec(lam.re)),
+            linalg.mat_vec(inv, linalg.vec(lam.im)),
+        )
+    with pytest.raises(ValueError):
+        root_coords_of(rs, Parameter.of([1] * (rs.rank + 1)))
+
+
+def test_act_by_inverse_is_act_of_the_inverse():
+    rs = build_root_system("B3")
+    rng = random.Random("act_by_inverse")
+    lam = _seeded_parameter(rng, rs.rank)
+    for w in weyl_group(rs):
+        assert act_by_inverse(rs, w.inverse(rs), lam) == act(rs, w, lam)
+    with pytest.raises(ValueError):
+        act_by_inverse(rs, identity_weyl(rs), Parameter.of([1, 1]))

@@ -5,8 +5,139 @@ from fractions import Fraction as Q
 
 import pytest
 
-from rootneg.simplex import feasible_mixed, maximize
+from rootneg.simplex import LPSolution, feasible_mixed, maximize
 from rootneg.verification import fourier_motzkin_feasible
+
+
+def reference_maximize(c, a_ub, b_ub) -> LPSolution:
+    """The two-phase Bland simplex on a Fraction tableau, kept as an oracle.
+
+    Same construction as rootneg.simplex.maximize (unit slacks, artificials
+    for negative right-hand sides, Bland's rule in both phases), but every
+    entry is a Fraction and each pivot divides the pivot row through.
+    """
+    m, n = len(a_ub), len(c)
+    rows, rhs, basis, art_cols = [], [], [], []
+    total = n + m
+    for i in range(m):
+        coeffs = [Q(x) for x in a_ub[i]] + [Q(0)] * m
+        coeffs[n + i] = Q(1)
+        b_i = Q(b_ub[i])
+        if b_i < 0:
+            coeffs = [-x for x in coeffs]
+            b_i = -b_i
+            art = total
+            total += 1
+            for r in rows:
+                r.append(Q(0))
+            coeffs.append(Q(1))
+            art_cols.append(art)
+            basis.append(art)
+        else:
+            coeffs += [Q(0)] * len(art_cols)
+            basis.append(n + i)
+        rows.append(coeffs)
+        rhs.append(b_i)
+    for r in rows:
+        r.extend([Q(0)] * (total - len(r)))
+    banned = set()
+
+    def pivot(r, col):
+        inv = Q(1) / rows[r][col]
+        rows[r] = [x * inv for x in rows[r]]
+        rhs[r] *= inv
+        for i in range(m):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                rhs[i] -= f * rhs[r]
+        basis[r] = col
+
+    def run(cost):
+        while True:
+            dual = [cost[basis[i]] for i in range(m)]
+            entering = next(
+                (j for j in range(total) if j not in banned
+                 and cost[j] - sum(dual[i] * rows[i][j] for i in range(m)) > 0),
+                None,
+            )
+            if entering is None:
+                return "optimal"
+            leaving, best = None, None
+            for i in range(m):
+                if rows[i][entering] > 0:
+                    ratio = rhs[i] / rows[i][entering]
+                    if best is None or ratio < best or (
+                        ratio == best and basis[i] < basis[leaving]
+                    ):
+                        best, leaving = ratio, i
+            if leaving is None:
+                return "unbounded"
+            pivot(leaving, entering)
+
+    if art_cols:
+        cost1 = [Q(0)] * total
+        for a in art_cols:
+            cost1[a] = Q(-1)
+        assert run(cost1) == "optimal"
+        if sum(rhs[i] for i in range(m) if basis[i] in art_cols) > 0:
+            return LPSolution("infeasible", None, None)
+        for i in range(m):
+            if basis[i] in art_cols:
+                entering = next((j for j in range(n + m) if rows[i][j] != 0), None)
+                if entering is not None:
+                    pivot(i, entering)
+        banned.update(art_cols)
+    if run([Q(x) for x in c] + [Q(0)] * (total - n)) == "unbounded":
+        return LPSolution("unbounded", None, None)
+    x = [Q(0)] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = rhs[i]
+    return LPSolution("optimal", tuple(x), sum(Q(ci) * xi for ci, xi in zip(c, x)))
+
+
+def _random_lp(rng: random.Random):
+    """A small LP with rational entries, negative right-hand sides and ties.
+
+    Entries come from a short list of values so that ratio ties and
+    degenerate vertices are common; about a third of the right-hand sides
+    are negative, which calls for phase one.
+    """
+    n = rng.randint(1, 5)
+    m = rng.randint(0, 6)
+    values = [Q(0), Q(0), Q(1), Q(-1), Q(2), Q(-2), Q(1, 2), Q(-3, 2), Q(2, 3), Q(5, 3)]
+
+    def entry():
+        return rng.choice(values) if rng.random() < 0.8 else Q(rng.randint(-6, 6), rng.randint(1, 5))
+
+    c = [entry() for _ in range(n)]
+    a_ub = [[entry() for _ in range(n)] for _ in range(m)]
+    b_ub = [
+        -abs(entry()) if rng.random() < 0.35 else (Q(0) if rng.random() < 0.3 else abs(entry()))
+        for _ in range(m)
+    ]
+    return c, a_ub, b_ub
+
+
+def test_maximize_matches_fraction_tableau():
+    rng = random.Random(20261018)
+    statuses = set()
+    for _ in range(2000):
+        c, a_ub, b_ub = _random_lp(rng)
+        got = maximize(c, a_ub, b_ub)
+        assert got == reference_maximize(c, a_ub, b_ub), (c, a_ub, b_ub)
+        statuses.add(got.status)
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+
+
+def test_maximize_accepts_ints_and_fractions_alike():
+    ints = maximize([1, 1], [[1, 2], [3, 1]], [4, 6])
+    fracs = maximize([Q(1), Q(1)], [[Q(1), Q(2)], [Q(3), Q(1)]], [Q(4), Q(6)])
+    assert ints == fracs
+    # scaling one side's denominators must not move the optimum
+    halves = maximize([1, 1], [[Q(1, 2), 1], [Q(3, 2), Q(1, 2)]], [2, 3])
+    assert halves == ints
 
 
 def test_maximize_bounded_optimum():
