@@ -47,7 +47,7 @@ from .rootsys import (
     dual,
     weyl_order,
 )
-from .subsystems import _class_divisors, full_rank_subsystems, n_of_subsystem
+from .subsystems import census
 from .verification import run_all
 
 JsonDoc = dict
@@ -149,66 +149,73 @@ def _cmd_build(args) -> tuple[JsonDoc, int]:
     return doc, 0
 
 
-def _load_nsigma_cache(cache_dir: str) -> dict:
-    path = os.path.join(cache_dir, "nsigma.json")
-    if os.path.exists(path):
+def _load_nsigma_cache(path: str) -> dict:
+    """The cache file's entries; an unreadable file is a miss, noted on stderr."""
+    try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    return {}
+            cache = json.load(handle)
+    except FileNotFoundError:
+        return {}
+    except (OSError, ValueError) as exc:
+        print(f"rootneg: ignoring unreadable cache {path}: {exc}", file=sys.stderr)
+        return {}
+    if not isinstance(cache, dict):
+        print(f"rootneg: ignoring cache {path}: not a JSON object", file=sys.stderr)
+        return {}
+    return cache
 
 
-def _store_nsigma_cache(cache_dir: str, cache: dict) -> None:
-    os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, "nsigma.json")
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(cache, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def _nsigma_entry(rs: RootSystem, method: str) -> dict:
-    classes = full_rank_subsystems(rs, method)
-    values = [n_of_subsystem(rs, s.roots) for s in classes]
-    total = math.lcm(*values) if values else 1
-    return {
-        "n_sigma": str(total),
-        "subsystems": [
-            {"label": s.label, "n": str(n)} for s, n in zip(classes, values)
-        ],
-    }
+def _store_nsigma_cache(path: str, cache: dict) -> None:
+    """Write the cache to a temporary file, then move it over path in one step,
+    so a reader never sees a partial file; a failed write is noted on stderr."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(tmp, "w", encoding="utf-8") as handle:
+            json.dump(cache, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        os.replace(tmp, path)
+    except OSError as exc:
+        print(f"rootneg: could not write cache {path}: {exc}", file=sys.stderr)
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _cmd_nsigma(args) -> tuple[JsonDoc, int]:
     rs = build_root_system(args.type)
-    key = str(rs.spec)
+    type_name = str(rs.spec)
+    key = f"{type_name}/{args.method}"
     entry = None
     cache = {}
     if args.cache_dir:
-        cache = _load_nsigma_cache(args.cache_dir)
+        path = os.path.join(args.cache_dir, "nsigma.json")
+        cache = _load_nsigma_cache(path)
         entry = cache.get(key)
     if entry is None:
-        entry = _nsigma_entry(rs, args.method)
+        classes = [(s.label, math.lcm(1, *d)) for s, d in census(rs, args.method)]
+        entry = {
+            "n_sigma": str(math.lcm(1, *(n for _, n in classes))),
+            "subsystems": [{"label": label, "n": str(n)} for label, n in classes],
+        }
         if args.cache_dir:
             cache[key] = entry
-            _store_nsigma_cache(args.cache_dir, cache)
-    doc = {"type": key, "n_sigma": entry["n_sigma"], "subsystems": entry["subsystems"]}
+            _store_nsigma_cache(path, cache)
+    doc = {"type": type_name, "n_sigma": entry["n_sigma"], "subsystems": entry["subsystems"]}
     return doc, 0
 
 
 def _cmd_subsystems(args) -> tuple[JsonDoc, int]:
     rs = build_root_system(args.type)
-    classes = full_rank_subsystems(rs, args.method)
-    out = []
-    for s in classes:
-        roots = sorted(s.roots)
-        out.append(
-            {
-                "label": s.label,
-                "n": str(n_of_subsystem(rs, s.roots)),
-                "divisors": [str(d) for d in _class_divisors(rs, s.roots)],
-                "size": len(roots),
-                "roots": [list(b) for b in roots],
-            }
-        )
+    out = [
+        {
+            "label": s.label,
+            "n": str(math.lcm(1, *divisors)),
+            "divisors": [str(d) for d in divisors],
+            "size": len(s.roots),
+            "roots": [list(b) for b in s.roots],
+        }
+        for s, divisors in census(rs, args.method)
+    ]
     doc = {
         "type": str(rs.spec),
         "method": args.method,

@@ -1,11 +1,14 @@
 """Exact linear algebra over the rationals.
 
 All routines work on tuples of :class:`fractions.Fraction` (or ints, which are
-promoted).  Nothing here ever touches floating point; every answer is exact.
+promoted), except :class:`IntEchelon`, which keeps integer rows for span and
+rank questions about integer vectors.  Nothing here ever touches floating
+point; every answer is exact.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction as Q
 from typing import Iterable, Optional, Sequence
 
@@ -121,6 +124,48 @@ def solve(a_rows: Iterable[Iterable], b: Iterable) -> Optional[Vec]:
             return None
         x[p] = row[-1]
     return tuple(x)
+
+
+class IntEchelon:
+    """A row echelon of integer vectors, grown one vector at a time.
+
+    Each kept row is stored with its pivot column and divided by the gcd of
+    its entries; a vector is reduced by fraction-free steps, so it reduces to
+    zero exactly when it lies in the rational span of the kept rows.
+    """
+
+    def __init__(self, rows: Iterable[Iterable[int]] = ()):
+        self.rows: list[tuple[int, list[int]]] = []
+        for row in rows:
+            self.add(row)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, v: Iterable[int]) -> list[int]:
+        v = list(v)
+        for p, row in self.rows:
+            f = v[p]
+            if f:
+                v = [x * row[p] - f * y for x, y in zip(v, row)]
+        return v
+
+    def contains(self, v: Iterable[int]) -> bool:
+        return not any(self.reduce(v))
+
+    def add(self, v: Iterable[int]) -> bool:
+        """Keep v's reduction as a new row unless it is zero; whether it was kept."""
+        v = self.reduce(v)
+        p = next((j for j, x in enumerate(v) if x), None)
+        if p is None:
+            return False
+        g = math.gcd(*v)
+        self.rows.append((p, [x // g for x in v]))
+        return True
+
+
+def int_rank(rows: Iterable[Iterable[int]]) -> int:
+    return len(IntEchelon(rows))
 
 
 def nullspace(rows: Iterable[Iterable], ncols: Optional[int] = None) -> Mat:

@@ -132,18 +132,9 @@ def span_basis_of_integral_roots(
     reduce to zero against the rows kept so far.
     """
     basis: list[Root] = []
-    echelon: list[tuple[int, list[int]]] = []  # (pivot column, row)
+    echelon = linalg.IntEchelon()
     for beta in sigma:
-        if sum(beta) <= 0:
-            continue
-        v = list(beta)
-        for p, row in echelon:
-            f = v[p]
-            if f:
-                v = [x * row[p] - f * y for x, y in zip(v, row)]
-        p = next((j for j, x in enumerate(v) if x), None)
-        if p is not None:
-            echelon.append((p, v))
+        if sum(beta) > 0 and echelon.add(beta):
             basis.append(beta)
             if len(basis) == rs.rank:
                 break
@@ -273,10 +264,18 @@ def weight_lattice_basis(
 def fundamental_lattice_index(rs: RootSystem, lam: Parameter, denominator: int = 1) -> int:
     """Index of the parabolic-closure root lattice in the weight lattice."""
     sigma = integral_roots(rs, lam, denominator)
+    closure = parabolic_closure(rs, [b for b in sigma if sum(b) > 0])
+    return _closure_lattice_index(rs, sigma, closure)
+
+
+def _closure_lattice_index(
+    rs: RootSystem, sigma: tuple[Root, ...], closure: Subsystem
+) -> int:
+    """fundamental_lattice_index for the integral roots sigma and their
+    parabolic closure, both already computed."""
     s_basis, weight_basis = weight_lattice_basis(rs, sigma)
     if not s_basis:
         return 1
-    closure = parabolic_closure(rs, [b for b in sigma if sum(b) > 0])
     cols = list(zip(*[linalg.vec(s) for s in s_basis]))
     root_gens = []
     for gamma in closure.roots:
@@ -331,7 +330,7 @@ def verify_fundamental_lemma(
     re_zero = all(linalg.dot(re_c, v) == 0 for v in edge_basis.vectors)
 
     closure = parabolic_closure(rs, sigma_pos)
-    n_lattice = fundamental_lattice_index(rs, lam, denominator)
+    n_lattice = _closure_lattice_index(rs, sigma, closure)
     integrality_ok = all(
         (n_lattice * pairing(rs, lam, beta)[0]).denominator == 1
         for beta in rs.positive_roots
@@ -343,7 +342,7 @@ def verify_fundamental_lemma(
 
     edge_trivial: Optional[bool] = None
     if mode == "strict":
-        coroot_rank = linalg.rank([rs.coroot_coweight_coords(b) for b in sigma_pos])
+        coroot_rank = linalg.int_rank(rs.coroot_coweight_coords(b) for b in sigma_pos)
         edge_trivial = edge_basis.dim == 0 and coroot_rank == rs.rank
 
     return FundamentalLemmaReport(

@@ -21,7 +21,7 @@ from .rootsys import (
     Root,
     RootSystem,
     WeylElement,
-    act,
+    act_by_inverse,
     descent_word,
     identity_weyl,
     pairing,
@@ -172,7 +172,8 @@ def equivalence_class(
                     blocked = value_in_fraction_of_z(re, im, denominator)
                 if blocked:
                     continue
-                nu = act(rs, gens[i], mu)
+                # s_i is its own inverse
+                nu = act_by_inverse(rs, gens[i], mu)
                 if nu not in members:
                     members[nu] = gens[i].compose(w_mu)
                     nxt.append(nu)

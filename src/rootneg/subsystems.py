@@ -7,6 +7,12 @@ short A1xA1 inside B2 is found.  :func:`is_root_subsystem` checks the
 stricter notion that additionally demands closure under root sums, which is
 what :func:`parabolic_closure` produces.
 
+Full-rank subsystems are listed up to W-conjugacy, exactly at every rank
+and without enumerating W: a subsystem's class is keyed by the dominant
+W-conjugate of 2ρ_S (the sum of its positive roots) together with the least
+image of its simple system under the small parabolic subgroup that fixes
+that dominant vector (Bourbaki, Lie Groups and Lie Algebras VI §1.10).
+
 The constant attached to a full-rank subsystem S is the exponent of the
 finite quotient (coroot lattice of the ambient system) / (coroot lattice of
 S), i.e. the lcm of its elementary divisors.  The constant of the whole
@@ -16,7 +22,9 @@ system is the lcm over all conjugacy classes of full-rank subsystems.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction as Q
 from typing import Iterable, Literal, Optional
 
 from . import linalg
@@ -26,19 +34,12 @@ from .rootsys import (
     Root,
     RootSystem,
     RootSystemSpec,
-    WeylElement,
-    weyl_group,
 )
 
 RootSet = frozenset[Root]
 
 #: brute-force enumeration walks all sign-pair subsets; cap the exponent.
 BRUTE_FORCE_MAX_RANK = 3
-
-#: conjugacy classes are exact (full Weyl orbit) up to this ambient rank;
-#: above it, classes are keyed by (label, divisor chain), which can in
-#: principle merge non-conjugate classes that share both.
-EXACT_CONJUGACY_MAX_RANK = 4
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,7 @@ class Subsystem:
 
     @property
     def rank(self) -> int:
-        return linalg.rank(self.roots) if self.roots else 0
+        return linalg.int_rank(self.roots)
 
 
 # ---------------------------------------------------------------------------
@@ -58,28 +59,31 @@ class Subsystem:
 
 def reflection_closure(rs: RootSystem, seed: Iterable[Root]) -> RootSet:
     """Smallest subset containing seed, stable under negation and under the
-    reflections of its own members."""
-    current: set[Root] = set()
-    queue = [tuple(r) for r in seed]
-    for r in queue:
+    reflections of its own members.
+
+    That set is the orbit of seed under the group generated by the
+    reflections of seed's members (s_{w alpha} = w s_alpha w^{-1}), and a
+    member already in the orbit adds no new generator; so each orbit element
+    is reflected only in the generators, not in every other element.
+    """
+    seed = [tuple(r) for r in seed]
+    for r in seed:
         if r not in rs._root_set:
             raise ValueError(f"{r} is not a root")
-    while queue:
-        beta = queue.pop()
-        if beta in current:
+    current: set[Root] = set()
+    gens: list[Root] = []
+    for alpha in seed:
+        if alpha in current:
             continue
-        neg = tuple(-b for b in beta)
-        for new in (beta, neg):
-            if new not in current:
-                current.add(new)
-                queue.append(new)
-        for alpha in list(current):
-            img = rs.reflect(alpha, beta)
-            if img not in current:
-                queue.append(img)
-            img = rs.reflect(beta, alpha)
-            if img not in current:
-                queue.append(img)
+        gens.append(alpha)
+        # old members still owe their image under the new generator
+        stack = [rs.reflect(alpha, beta) for beta in current]
+        stack.append(alpha)
+        while stack:
+            beta = stack.pop()
+            if beta not in current:
+                current.add(beta)
+                stack.extend(rs.reflect(g, beta) for g in gens)
     return frozenset(current)
 
 
@@ -113,10 +117,8 @@ def parabolic_closure(rs: RootSystem, roots: Iterable[Root]) -> Subsystem:
     for r in seed:
         if r not in rs._root_set:
             raise ValueError(f"{r} is not a root")
-    basis = linalg.span_basis(seed)
-    members = tuple(
-        sorted(r for r in rs.roots if linalg.in_span(basis, linalg.vec(r)))
-    )
+    span = linalg.IntEchelon(seed)
+    members = tuple(r for r in rs.roots if span.contains(r))
     return Subsystem(members, subsystem_label(rs, members))
 
 
@@ -155,9 +157,8 @@ def _classify_component(rs: RootSystem, comp: RootSet) -> tuple[str, int]:
     Isomorphic presentations collapse: rank-1 components are A1, rank-2
     two-length components are B2, simply-laced rank-3 components are A3.
     """
-    roots = sorted(comp)
-    r = linalg.rank(roots)
-    count = len(roots)
+    r = linalg.int_rank(comp)
+    count = len(comp)
     if any(rs.double_of(beta) in comp for beta in comp):
         expected = 2 * r * (r + 1)
         if count != expected:
@@ -250,40 +251,29 @@ def _indivisible_part(rs: RootSystem, comp: RootSet, side: Side) -> RootSet:
 
 
 def _simple_system(rs: RootSystem, reduced: RootSet, side: Side) -> tuple[Root, ...]:
-    """Simple roots of a reduced component w.r.t. the ambient positivity."""
-    pos = sorted(b for b in reduced if sum(b) > 0)
-    vecs = {_side_coords(rs, b, side): b for b in pos}
-    simple = []
-    for b in pos:
+    """Simple roots of a reduced component w.r.t. the ambient positivity.
+
+    In order of increasing height on the chosen side, a positive root is
+    simple unless it is a simple root found before it plus a positive root.
+    """
+    pos = [b for b in reduced if sum(b) > 0]
+    if side == "root":
+        height = sum
+    else:
+        # the coroot of b is sum_j b_j (a_j, a_j)/(b, b) times simple coroot j
+        def height(b: Root) -> Q:
+            return Q(sum(x * d for x, d in zip(b, rs._diag)), rs.length_sq(b))
+
+    vecs = {_side_coords(rs, b, side) for b in pos}
+    simple: list[Root] = []
+    for b in sorted(pos, key=height):
         target = _side_coords(rs, b, side)
         if not any(
-            tuple(t - v for t, v in zip(target, other)) in vecs
-            for other in vecs
-            if other != target
+            tuple(t - v for t, v in zip(target, _side_coords(rs, a, side))) in vecs
+            for a in simple
         ):
             simple.append(b)
-    return tuple(simple)
-
-
-def _heights(
-    rs: RootSystem, reduced: RootSet, simple: tuple[Root, ...], side: Side
-) -> dict[Root, int]:
-    cols = [linalg.vec(_side_coords(rs, s, side)) for s in simple]
-    mat_t = list(zip(*cols))
-    out = {}
-    for b in sorted(reduced):
-        if sum(b) < 0:
-            continue
-        sol = linalg.solve(mat_t, linalg.vec(_side_coords(rs, b, side)))
-        if sol is None:
-            raise AssertionError("component root outside its simple span")
-        coeffs = []
-        for x in sol:
-            if x.denominator != 1 or x < 0:
-                raise AssertionError("non-integral or negative simple coefficient")
-            coeffs.append(int(x))
-        out[b] = sum(coeffs)
-    return out
+    return tuple(sorted(simple))
 
 
 def _component_affine(
@@ -292,13 +282,23 @@ def _component_affine(
     """(simple nodes, highest root, marks) of one component on one side."""
     reduced = _indivisible_part(rs, comp, side)
     simple = _simple_system(rs, reduced, side)
-    heights = _heights(rs, reduced, simple, side)
+    rows = [_side_coords(rs, s, side) for s in simple]
+    # heights, scaled by one positive integer: h is 1 on every simple root
+    h = linalg.solve(rows, [1] * len(simple))
+    scale = math.lcm(*(x.denominator for x in h))
+    h = [int(x * scale) for x in h]
+    heights = {
+        b: sum(x * y for x, y in zip(h, _side_coords(rs, b, side)))
+        for b in reduced
+        if sum(b) > 0
+    }
     top = max(heights, key=lambda b: (heights[b], b))
-    ties = [b for b, h in heights.items() if h == heights[top]]
+    ties = [b for b, v in heights.items() if v == heights[top]]
     if len(ties) != 1:
         raise AssertionError("highest root is not unique; component not irreducible?")
-    cols = [linalg.vec(_side_coords(rs, s, side)) for s in simple]
-    sol = linalg.solve(list(zip(*cols)), linalg.vec(_side_coords(rs, top, side)))
+    sol = linalg.solve(list(zip(*rows)), _side_coords(rs, top, side))
+    if sol is None or any(x.denominator != 1 or x <= 0 for x in sol):
+        raise AssertionError("highest root is not a positive integral simple combination")
     marks = tuple(int(x) for x in sol)
     return simple, top, marks
 
@@ -369,19 +369,81 @@ def _children(rs: RootSystem, s: RootSet) -> set[RootSet]:
     return out
 
 
-def _orbit_key(rs: RootSystem, w_all: tuple[WeylElement, ...], s: RootSet) -> tuple:
-    best = None
-    for w in w_all:
-        image = tuple(sorted(w.apply_root(b) for b in s))
-        if best is None or image < best:
-            best = image
-    return best
+def _conjugacy_key(rs: RootSystem, s: RootSet) -> tuple:
+    """A complete invariant of the W-conjugacy class of a subsystem S.
 
+    P = S ∩ Φ⁺ is a positive system of S, and 2ρ_P = sum(P) is W-equivariant
+    in P: conjugate subsystems have W-conjugate 2ρ's, since the positive
+    systems of one subsystem form a single W_S-orbit.  Simple reflections
+    move 2ρ_P to its dominant W-conjugate (Bourbaki VI §1.10), carrying P
+    along; two subsystems that reach the same dominant vector then differ by
+    an element of its stabiliser, the parabolic W_J with J = {i :
+    <dom, alpha_i-coroot> = 0}.  A second equivariant vector, v2 = the sum
+    over components c of S of |P∩c| 2ρ_{P∩c}, made W_J-dominant the same way,
+    shrinks J to J2 = {i in J : <v2, alpha_i-coroot> = 0} before the
+    W_{J2}-orbit of P is searched.  P is represented by its sorted simple
+    roots, each flagged by whether its double lies in S (so non-reduced
+    components stay distinct); the key is the least representative in the
+    orbit.  No step enumerates W.
+    """
+    pos = [b for b in s if sum(b) > 0]
+    simple = list(_simple_system(rs, _indivisible_part(rs, s, "root"), "root"))
+    flags = [rs.double_of(a) in s for a in simple]
 
-def _class_divisors(rs: RootSystem, s: RootSet) -> tuple[int, ...]:
-    sub = [rs.coroot_coweight_coords(b) for b in sorted(s) if sum(b) > 0]
-    sup = [rs.coroot_coweight_coords(b) for b in rs.positive_roots]
-    return quotient_divisors(sub, sup)
+    # a positive root lies in the component of every simple root it is not
+    # orthogonal to; components are joined over the simple roots
+    parent = list(range(len(simple)))
+
+    def find(k: int) -> int:
+        while parent[k] != k:
+            k = parent[k]
+        return k
+
+    for a in range(len(simple)):
+        for b in range(a + 1, len(simple)):
+            if rs.root_pairing(simple[b], simple[a]):
+                parent[find(a)] = find(b)
+    comps = [
+        find(next(k for k, a in enumerate(simple) if rs.root_pairing(beta, a)))
+        for beta in pos
+    ]
+    size = Counter(comps)
+    dom = tuple(sum(col) for col in zip(*pos))
+    v2 = tuple(sum(size[c] * beta[j] for c, beta in zip(comps, pos)) for j in range(rs.rank))
+
+    simples = rs.simple_roots
+
+    def to_dominant(v: Root, indices, carried: list[Root]) -> Root:
+        """Reflect v by simple reflections s_i, i in indices, until it pairs
+        non-negatively with those coroots; carried gets the same reflections."""
+        while True:
+            i = next((i for i in indices if rs.root_pairing(v, simples[i]) < 0), None)
+            if i is None:
+                return v
+            v = rs.reflect(simples[i], v)
+            carried[:] = [rs.reflect(simples[i], x) for x in carried]
+
+    carried = simple + [v2]
+    dom = to_dominant(dom, range(rs.rank), carried)
+    simple, v2 = carried[:-1], carried[-1]
+    # W_J fixes dom, so moving v2 within W_J leaves dom dominant
+    j1 = [i for i in range(rs.rank) if rs.root_pairing(dom, simples[i]) == 0]
+    v2 = to_dominant(v2, j1, simple)
+    j2 = [i for i in j1 if rs.root_pairing(v2, simples[i]) == 0]
+
+    start = tuple(sorted(zip(simple, flags)))
+    orbit = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for node in frontier:
+            for i in j2:
+                img = tuple(sorted((rs.reflect(simples[i], a), f) for a, f in node))
+                if img not in orbit:
+                    orbit.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return dom, min(orbit)
 
 
 def full_rank_subsystems(
@@ -397,9 +459,11 @@ def full_rank_subsystems(
     method="brute_force": direct scan over all sign-symmetric subsets of the
     roots; exponential, so it is refused above rank BRUTE_FORCE_MAX_RANK.
 
-    Up to ambient rank EXACT_CONJUGACY_MAX_RANK classes are separated by
-    their full Weyl orbits; above that, by (label, divisor chain), which is
-    cheaper but could in principle merge distinct classes.
+    Classes are separated exactly at every rank by a canonical form
+    computed without enumerating W (dominant 2ρ_S plus a small parabolic
+    orbit; see _conjugacy_key).  Each class is represented by the least
+    sorted root list among the candidates met (brute force) or by the first
+    one reached in the sorted walk (bds).
     """
     if method == "brute_force":
         candidates = _brute_force_sets(rs)
@@ -408,42 +472,25 @@ def full_rank_subsystems(
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    exact = rs.rank <= EXACT_CONJUGACY_MAX_RANK
-    w_all = weyl_group(rs) if exact else ()
-
-    reps: dict[tuple, RootSet] = {}
-
-    def class_key(s: RootSet) -> tuple:
-        if exact:
-            return _orbit_key(rs, w_all, s)
-        return (subsystem_label(rs, s), _class_divisors(rs, s))
-
+    reps: dict[tuple, tuple[Root, ...]] = {}
     if candidates is not None:
-        for s in sorted(candidates, key=lambda c: sorted(c)):
-            key = class_key(s)
-            if key not in reps or sorted(s) < sorted(reps[key]):
-                reps[key] = s
+        for roots in sorted(tuple(sorted(c)) for c in candidates):
+            reps.setdefault(_conjugacy_key(rs, frozenset(roots)), roots)
     else:
-        full = frozenset(rs.roots)
-        queue = [full]
-        seen_keys = set()
+        queue = [(rs.roots, frozenset(rs.roots))]
         while queue:
-            queue.sort(key=lambda c: sorted(c))
-            s = queue.pop(0)
-            key = class_key(s)
-            if key in seen_keys:
+            queue.sort()
+            roots, s = queue.pop(0)
+            key = _conjugacy_key(rs, s)
+            if key in reps:
                 continue
-            seen_keys.add(key)
-            reps[key] = min([s, reps[key]], key=sorted) if key in reps else s
+            reps[key] = roots
             for child in _children(rs, s):
-                if linalg.rank(sorted(child)) != rs.rank:
+                if linalg.int_rank(child) != rs.rank:
                     raise AssertionError("child subsystem lost full rank")
-                queue.append(child)
+                queue.append((tuple(sorted(child)), child))
 
-    out = []
-    for s in reps.values():
-        roots = tuple(sorted(s))
-        out.append(Subsystem(roots, subsystem_label(rs, roots)))
+    out = [Subsystem(roots, subsystem_label(rs, roots)) for roots in reps.values()]
     return tuple(sorted(out, key=lambda sub: (sub.label, sub.roots)))
 
 
@@ -459,7 +506,7 @@ def _brute_force_sets(rs: RootSystem) -> set[RootSet]:
     for mask in range(1, 1 << n):
         sel = [pos[i] for i in range(n) if mask >> i & 1]
         s = frozenset(sel) | frozenset(tuple(-b for b in r) for r in sel)
-        if linalg.rank(sel) != rs.rank:
+        if linalg.int_rank(sel) != rs.rank:
             continue
         if all(rs.reflect(a, b) in s for a in s for b in s):
             found.add(s)
@@ -469,23 +516,37 @@ def _brute_force_sets(rs: RootSystem) -> set[RootSet]:
 # ---------------------------------------------------------------------------
 # Lattice constants
 
-def n_of_subsystem(rs: RootSystem, roots: Iterable[Root]) -> int:
-    """Exponent of (ambient coroot lattice) / (subsystem coroot lattice).
+def class_divisors(rs: RootSystem, roots: Iterable[Root]) -> tuple[int, ...]:
+    """Elementary divisors of (ambient coroot lattice) / (subsystem coroot
+    lattice), from one Smith normal form.
 
     The subsystem must have full rank; its coroots then span a finite-index
-    sublattice and the constant is the lcm of the elementary divisors.
+    sublattice.
     """
     items = sorted(set(tuple(r) for r in roots))
     for r in items:
         if r not in rs._root_set:
             raise ValueError(f"{r} is not a root")
-    if linalg.rank(items) != rs.rank:
+    if linalg.int_rank(items) != rs.rank:
         raise ValueError("subsystem does not have full rank")
-    divisors = _class_divisors(rs, frozenset(items))
-    return math.lcm(*divisors) if divisors else 1
+    sub = [rs.coroot_coweight_coords(b) for b in items if sum(b) > 0]
+    sup = [rs.coroot_coweight_coords(b) for b in rs.positive_roots]
+    return quotient_divisors(sub, sup)
+
+
+def n_of_subsystem(rs: RootSystem, roots: Iterable[Root]) -> int:
+    """Exponent of (ambient coroot lattice) / (subsystem coroot lattice):
+    the lcm of :func:`class_divisors`."""
+    return math.lcm(1, *class_divisors(rs, roots))
+
+
+def census(
+    rs: RootSystem, method: Literal["bds", "brute_force"] = "bds"
+) -> tuple[tuple[Subsystem, tuple[int, ...]], ...]:
+    """Every full-rank subsystem class with its divisor chain."""
+    return tuple((s, class_divisors(rs, s.roots)) for s in full_rank_subsystems(rs, method))
 
 
 def n_sigma(rs: RootSystem, method: Literal["bds", "brute_force"] = "bds") -> int:
-    """lcm of n_of_subsystem over all full-rank subsystem classes."""
-    values = [n_of_subsystem(rs, sub.roots) for sub in full_rank_subsystems(rs, method)]
-    return math.lcm(*values) if values else 1
+    """lcm of the class constants n over all full-rank subsystem classes."""
+    return math.lcm(1, *(d for _, divisors in census(rs, method) for d in divisors))

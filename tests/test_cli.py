@@ -67,6 +67,54 @@ def test_nsigma_cache_is_idempotent(tmp_path, capsys):
     assert sorted(s["n"] for s in doc["subsystems"]) == ["1", "1", "2"]
 
 
+def test_nsigma_cache_is_keyed_by_method(tmp_path, capsys):
+    cache_file = tmp_path / "nsigma.json"
+    planted = {"n_sigma": "99", "subsystems": [{"label": "B2", "n": "99"}]}
+    cache_file.write_text(json.dumps({"B2/bds": planted}), encoding="utf-8")
+    code, out, _ = invoke(
+        capsys, "nsigma", "--type", "B2", "--method", "brute_force",
+        "--cache-dir", str(tmp_path),
+    )
+    assert code == 0
+    assert json.loads(out)["n_sigma"] == "2"
+    # the bds entry is read back as it stands, so the lookup did happen
+    code, out, _ = invoke(capsys, "nsigma", "--type", "B2", "--cache-dir", str(tmp_path))
+    assert json.loads(out)["n_sigma"] == "99"
+    assert sorted(json.loads(cache_file.read_text())) == ["B2/bds", "B2/brute_force"]
+
+
+def test_nsigma_cache_write_is_atomic(tmp_path, capsys, monkeypatch):
+    invoke(capsys, "nsigma", "--type", "B2", "--cache-dir", str(tmp_path))
+    cache_file = tmp_path / "nsigma.json"
+    before = cache_file.read_bytes()
+
+    def dump_then_fail(obj, handle, **kwargs):
+        handle.write('{"A2/bds": {')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", dump_then_fail)
+    code, out, err = invoke(capsys, "nsigma", "--type", "A2", "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert json.loads(out)["n_sigma"] == "1"
+    assert "could not write cache" in err and "disk full" in err
+    # the half-written file never replaced the old one, and was removed
+    assert cache_file.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["nsigma.json"]
+
+
+@pytest.mark.parametrize("content", ["{not json", "[1, 2]", "\xff\xfe"])
+def test_nsigma_unreadable_cache_is_a_miss(tmp_path, capsys, content):
+    cache_file = tmp_path / "nsigma.json"
+    cache_file.write_bytes(content.encode("latin-1"))
+    code, out, err = invoke(capsys, "nsigma", "--type", "G2", "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert json.loads(out)["n_sigma"] == "6"
+    assert err.startswith("rootneg: ignoring")
+    assert "nsigma.json" in err
+    # the recomputed entry replaces the unreadable file
+    assert list(json.loads(cache_file.read_text())) == ["G2/bds"]
+
+
 def test_subsystems_b2(capsys):
     code, out, _ = invoke(capsys, "subsystems", "--type", "B2")
     assert code == 0

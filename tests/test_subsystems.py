@@ -1,10 +1,19 @@
 from __future__ import annotations
 
+import functools
+import itertools
+
 import pytest
 
-from rootneg.rootsys import build_root_system
+from rootneg.rootsys import build_root_system, simple_reflection, weyl_group
 from rootneg.subsystems import (
+    BRUTE_FORCE_MAX_RANK,
+    _brute_force_sets,
+    _children,
+    _conjugacy_key,
     affine_diagram,
+    census,
+    class_divisors,
     component_split,
     full_rank_subsystems,
     is_root_subsystem,
@@ -264,3 +273,136 @@ def test_scaled_coroots_land_in_subsystem_coroot_lattice(name):
             assert all(x.denominator == 1 for x in sol), (
                 f"{name}: {n}*coroot of {alpha} outside the coroot span of {s.label}"
             )
+
+
+# ---------------------------------------------------------------------------
+# Conjugacy classes against a full Weyl-orbit oracle
+
+
+@functools.lru_cache(maxsize=None)
+def _weyl_permutations(name):
+    """Roots numbered in sorted order, and every w in W as a permutation."""
+    rs = build_root_system(name)
+    index = {b: k for k, b in enumerate(rs.roots)}
+    return index, tuple(
+        tuple(index[w.apply_root(b)] for b in rs.roots) for w in weyl_group(rs)
+    )
+
+
+def _orbit_key(rs, s):
+    """Oracle: the least sorted image of s over every element of W.
+
+    Sorted index tuples compare as the sorted root lists they number.
+    """
+    index, perms = _weyl_permutations(str(rs.spec))
+    members = [index[b] for b in s]
+    return min(tuple(sorted(perm[k] for k in members)) for perm in perms)
+
+
+def _bds_candidates(rs):
+    """Every subsystem the bds walk can reach from the whole system."""
+    full = frozenset(rs.roots)
+    seen = {full}
+    stack = [full]
+    while stack:
+        for child in _children(rs, stack.pop()):
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
+    return seen
+
+
+def _partition(sets, key):
+    blocks = {}
+    for s in sets:
+        blocks.setdefault(key(s), set()).add(s)
+    return {frozenset(b) for b in blocks.values()}
+
+
+ORACLE_TYPES = [
+    "A1", "A2", "A3", "B2", "B3", "C3", "G2", "BC1", "BC2", "BC3", "A1xA1",
+    "B2xA1", "D4", "B4", "C4", "F4", "A2xB2", "B2xG2",
+]
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+def test_conjugacy_key_partitions_like_the_weyl_orbit(name):
+    rs = build_root_system(name)
+    reached = _bds_candidates(rs)
+    if rs.rank <= BRUTE_FORCE_MAX_RANK:
+        # every reflection-closed full-rank subset, so every conjugate
+        sets = reached | _brute_force_sets(rs)
+    else:
+        # images under the simple reflections, so that most classes hold
+        # several distinct sets
+        gens = [simple_reflection(rs, i) for i in range(rs.rank)]
+        sets = reached | {frozenset(w.apply_root(b) for b in s) for s in reached for w in gens}
+    oracle = _partition(sets, lambda s: _orbit_key(rs, s))
+    assert _partition(sets, lambda s: _conjugacy_key(rs, s)) == oracle
+    assert len(full_rank_subsystems(rs, "bds")) == len({b for b in oracle if b & reached})
+
+
+def _factor_census(spec_text):
+    """Oracle census of one factor: each class as its full-W orbit key."""
+    rs = build_root_system(spec_text)
+    return {_orbit_key(rs, s.roots) for s in full_rank_subsystems(rs, "bds")}
+
+
+@pytest.mark.parametrize("name", ["G2xG2xA1", "B2xG2xA1"])
+def test_product_census_is_the_product_of_factor_censuses(name):
+    rs = build_root_system(name)
+    factors = []
+    for family, rank, offset in rs.blocks:
+        factor = build_root_system(f"{family}{rank}")
+        factors.append((factor, offset, rank))
+    seen = []
+    for sub in full_rank_subsystems(rs, "bds"):
+        key = []
+        for factor, offset, rank in factors:
+            part = {b[offset:offset + rank] for b in sub.roots if any(b[offset:offset + rank])}
+            key.append(_orbit_key(factor, part))
+        seen.append(tuple(key))
+    expected = set(itertools.product(
+        *(_factor_census(f"{family}{rank}") for family, rank, _ in rs.blocks)
+    ))
+    assert len(seen) == len(set(seen))
+    assert set(seen) == expected
+
+
+def test_g2xg2xa1_census_keeps_the_two_mixed_classes_apart():
+    # (G2, A2) and (A2, G2) share the label A1xA2xG2 and the divisor chain,
+    # but W acts factor by factor, so no Weyl element swaps the two factors
+    rs = build_root_system("G2xG2xA1")
+    classes = full_rank_subsystems(rs)
+    assert len(classes) == 16
+    assert [s.label for s in classes].count("A1xA2xG2") == 4
+    assert n_sigma(rs) == 6
+
+
+# Oshima 2006 (arXiv:math/0611904), Dynkin 1952: the full-rank subsystems of E8
+E8_CLASSES = [
+    ("A1xA1xA1xA1xA1xA1xA1xA1", 2), ("A1xA1xA1xA1xD4", 2), ("A1xA1xA3xA3", 4),
+    ("A1xA1xD6", 2), ("A1xA2xA5", 6), ("A1xA7", 4), ("A1xE7", 2),
+    ("A2xA2xA2xA2", 3), ("A2xE6", 3), ("A3xD5", 4), ("A4xA4", 5), ("A8", 3),
+    ("D4xD4", 2), ("D8", 2), ("E8", 1),
+]
+
+
+def test_e8_census_is_exact_without_enumerating_w():
+    # |W(E8)| is far above the Weyl enumeration limit, so this census cannot
+    # be using weyl_group
+    rs = build_root_system("E8")
+    table = [(s.label, n_of_subsystem(rs, s.roots)) for s in full_rank_subsystems(rs)]
+    assert table == E8_CLASSES
+    assert n_sigma(rs) == 60
+
+
+@pytest.mark.parametrize("name", ["B2", "G2", "BC2", "F4"])
+def test_census_pairs_each_class_with_its_divisors(name):
+    rs = build_root_system(name)
+    pairs = census(rs)
+    assert [s for s, _ in pairs] == list(full_rank_subsystems(rs))
+    for s, divisors in pairs:
+        assert divisors == class_divisors(rs, s.roots)
+        assert len(divisors) == rs.rank
+        assert n_of_subsystem(rs, s.roots) == max(divisors)
