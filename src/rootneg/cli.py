@@ -78,6 +78,8 @@ def _parse_q_matrix(text: str, what: str) -> tuple[tuple[Q, ...], ...]:
     if not text:
         return ()
     rows = tuple(_parse_q_list(part, what) for part in text.split(";"))
+    if not all(rows):
+        raise ValueError(f"{what} {text!r} has a row with no entries")
     if len({len(r) for r in rows}) > 1:
         raise ValueError(f"ragged rows in {what} {text!r}")
     return rows

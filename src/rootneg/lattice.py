@@ -10,12 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction as Q
 from typing import Iterable, Sequence
-
-from . import linalg
-
-IntMat = list[list[int]]
 
 
 @dataclass(frozen=True)
@@ -34,18 +29,6 @@ class SNFResult:
             if self.d[i][i] != 0:
                 out.append(self.d[i][i])
         return tuple(out)
-
-
-@dataclass(frozen=True)
-class Lattice:
-    """A sublattice of Z^n (rows of `basis` are the basis vectors)."""
-
-    ambient_dim: int
-    basis: tuple[tuple[int, ...], ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
 
 
 def _ident(n: int) -> list[list[int]]:
@@ -215,61 +198,55 @@ def hermite_row_basis(rows: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], .
     return tuple(tuple(row) for row in work)
 
 
-def lattice_from_generators(
-    gens: Iterable[Sequence[int]], ambient_dim: int
-) -> Lattice:
-    basis = hermite_row_basis(gens)
-    return Lattice(ambient_dim, basis)
-
-
-def _clear_denominators(rows: list[list[Q]]) -> tuple[list[list[int]], int]:
-    denom = 1
-    for row in rows:
-        for x in row:
-            denom = denom * x.denominator // math.gcd(denom, x.denominator)
-    return [[int(x * denom) for x in row] for row in rows], denom
-
-
 def quotient_divisors(
     sub: Iterable[Sequence], sup: Iterable[Sequence]
 ) -> tuple[int, ...]:
     """Elementary divisors of (lattice spanned by `sup`) / (by `sub`).
 
-    Both arguments are generator lists (not necessarily bases).  Rational
-    entries are allowed; both spans are scaled by one common denominator,
+    Both arguments are generator lists (not necessarily bases) with int or
+    Fraction entries; both spans are scaled once by one common denominator,
     which leaves the quotient unchanged.  The sub-span must lie inside the
     sup-span and have the same rank.
     """
-    sub_rows = [[Q(x) for x in row] for row in sub]
-    sup_rows = [[Q(x) for x in row] for row in sup]
+    sub_rows = [list(row) for row in sub]
+    sup_rows = [list(row) for row in sup]
     if not sup_rows:
         raise ValueError("empty generating set for the ambient lattice")
-    all_int, _ = _clear_denominators(sub_rows + sup_rows)
-    sub_int = all_int[: len(sub_rows)]
-    sup_int = all_int[len(sub_rows):]
-    sup_basis = hermite_row_basis(sup_int)
-    sub_basis = hermite_row_basis(sub_int)
+    scale = math.lcm(*(x.denominator for row in sub_rows + sup_rows for x in row))
+
+    def scaled_basis(rows):
+        return hermite_row_basis(
+            [x.numerator * (scale // x.denominator) for x in row] for row in rows
+        )
+
+    sup_basis = scaled_basis(sup_rows)
+    sub_basis = scaled_basis(sub_rows)
     if len(sub_basis) != len(sup_basis):
         raise ValueError(
             f"rank mismatch: sub has rank {len(sub_basis)}, sup {len(sup_basis)}"
         )
-    r = len(sup_basis)
-    # Express each sub basis vector over the sup basis; must be integral.
+    if not sup_basis:
+        return ()
+    # Coordinates of each sub basis vector over the sup basis, by substitution
+    # down the Hermite rows: row i is the only one left with a nonzero entry
+    # at its pivot, so its coefficient is that entry over the pivot.
+    pivots = [next(j for j, x in enumerate(row) if x) for row in sup_basis]
     coeff: list[list[int]] = []
-    sup_mat = [list(map(Q, row)) for row in sup_basis]
-    for vec_ in sub_basis:
-        sol = linalg.solve(list(zip(*sup_mat)), [Q(x) for x in vec_])
-        if sol is None:
-            raise ValueError("sub-lattice is not contained in the span")
-        row = []
-        for x in sol:
-            if x.denominator != 1:
+    for v in sub_basis:
+        v = list(v)
+        row_coeffs = []
+        for p, row in zip(pivots, sup_basis):
+            c, r = divmod(v[p], row[p])
+            if r:
                 raise ValueError("sub-lattice is not contained in the lattice")
-            row.append(int(x))
-        coeff.append(row)
-    snf = smith_normal_form(coeff) if r else SNFResult((), (), ())
-    divisors = snf.divisors if r else ()
-    if len(divisors) != r:
+            if c:
+                v = [x - c * y for x, y in zip(v, row)]
+            row_coeffs.append(c)
+        if any(v):
+            raise ValueError("sub-lattice is not contained in the lattice")
+        coeff.append(row_coeffs)
+    divisors = smith_normal_form(coeff).divisors
+    if len(divisors) != len(sup_basis):
         raise ValueError("sub-lattice has lower rank than the lattice")
     return divisors
 

@@ -1,9 +1,13 @@
 """Exact linear algebra over the rationals.
 
-All routines work on tuples of :class:`fractions.Fraction` (or ints, which are
-promoted), except :class:`IntEchelon`, which keeps integer rows for span and
-rank questions about integer vectors.  Nothing here ever touches floating
-point; every answer is exact.
+There is one elimination, :class:`IntEchelon`: fraction-free row reduction
+of integer vectors (Bareiss 1968, *Math. Comp.* 22), each kept row divided by
+the gcd of its entries.  The rational routines (rref, solve, nullspace,
+inverse, rank, det) scale each row to integers first, which leaves its span
+unchanged, and divide only when they read off the answer.  The small helpers
+(vec, dot, mat_vec, ...) work on tuples of :class:`fractions.Fraction` (ints
+are promoted).  Nothing here ever touches floating point; every answer is
+exact.
 """
 
 from __future__ import annotations
@@ -55,75 +59,21 @@ def transpose(m: Mat) -> Mat:
     return tuple(zip(*m)) if m else ()
 
 
-def rref(rows: Iterable[Iterable]) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form and the pivot columns.
-
-    Zero rows are dropped, so the result's rows are a canonical basis of the
-    row space.
-    """
-    work = [list(vec(r)) for r in rows]
-    if not work:
-        return (), ()
-    ncols = len(work[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = Q(1) / work[r][c]
-        work[r] = [inv * x for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
+def scaled_to_int(xs: Iterable) -> list[int]:
+    """The rational vector xs times the lcm of its entries' denominators."""
+    qs = [x if isinstance(x, (int, Q)) else Q(x) for x in xs]
+    scale = math.lcm(*(q.denominator for q in qs))
+    return [q.numerator * (scale // q.denominator) for q in qs]
 
 
-def rank(rows: Iterable[Iterable]) -> int:
-    return len(rref(rows)[0])
-
-
-def span_basis(rows: Iterable[Iterable]) -> Mat:
-    """Canonical (RREF) basis of the span of the given vectors."""
-    return rref(rows)[0]
-
-
-def in_span(basis: Mat, x: Vec) -> bool:
-    """Whether x lies in the span of the rows of an RREF basis."""
-    if not basis:
-        return all(a == 0 for a in x)
-    combined, _ = rref(list(basis) + [vec(x)])
-    return len(combined) == len(basis)
-
-
-def solve(a_rows: Iterable[Iterable], b: Iterable) -> Optional[Vec]:
-    """One exact solution x of A x = b, or None if the system is inconsistent.
-
-    When the solution space is positive-dimensional the free variables are set
-    to zero, which makes the answer deterministic.
-    """
-    a = mat(a_rows)
-    rhs = vec(b)
-    if len(a) != len(rhs):
-        raise ValueError("dimension mismatch")
-    ncols = len(a[0]) if a else 0
-    aug = [list(row) + [val] for row, val in zip(a, rhs)]
-    reduced, pivots = rref(aug)
-    for row in reduced:
-        if all(x == 0 for x in row[:-1]) and row[-1] != 0:
-            return None
-    x = [Q(0)] * ncols
-    for row, p in zip(reduced, pivots):
-        if p == ncols:
-            return None
-        x[p] = row[-1]
-    return tuple(x)
+def _clear(v: list[int], rows: Iterable[tuple[int, list[int]]]) -> list[int]:
+    """v times a nonzero integer minus a combination of the rows, zero at
+    every row's pivot; each row must be zero at the pivots of those before it."""
+    for p, row in rows:
+        f = v[p]
+        if f:
+            v = [x * row[p] - f * y for x, y in zip(v, row)]
+    return v
 
 
 class IntEchelon:
@@ -131,7 +81,8 @@ class IntEchelon:
 
     Each kept row is stored with its pivot column and divided by the gcd of
     its entries; a vector is reduced by fraction-free steps, so it reduces to
-    zero exactly when it lies in the rational span of the kept rows.
+    zero exactly when it lies in the rational span of the kept rows.  A kept
+    row is zero at the pivots of the rows kept before it.
     """
 
     def __init__(self, rows: Iterable[Iterable[int]] = ()):
@@ -142,20 +93,12 @@ class IntEchelon:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def reduce(self, v: Iterable[int]) -> list[int]:
-        v = list(v)
-        for p, row in self.rows:
-            f = v[p]
-            if f:
-                v = [x * row[p] - f * y for x, y in zip(v, row)]
-        return v
-
     def contains(self, v: Iterable[int]) -> bool:
-        return not any(self.reduce(v))
+        return not any(_clear(list(v), self.rows))
 
     def add(self, v: Iterable[int]) -> bool:
         """Keep v's reduction as a new row unless it is zero; whether it was kept."""
-        v = self.reduce(v)
+        v = _clear(list(v), self.rows)
         p = next((j for j, x in enumerate(v) if x), None)
         if p is None:
             return False
@@ -163,14 +106,64 @@ class IntEchelon:
         self.rows.append((p, [x // g for x in v]))
         return True
 
+    def back_substituted(self) -> list[tuple[int, list[int]]]:
+        """The kept rows, sorted by pivot and each cleared at every other
+        row's pivot: row k is a nonzero multiple of row k of the reduced row
+        echelon form.  Rows are cleared from the last kept back to the first,
+        each against the finished rows after it."""
+        done: list[tuple[int, list[int]]] = []
+        for p, row in reversed(self.rows):
+            row = _clear(row, done)
+            g = math.gcd(*row)
+            done.append((p, [x // g for x in row]))
+        return sorted(done)
+
 
 def int_rank(rows: Iterable[Iterable[int]]) -> int:
     return len(IntEchelon(rows))
 
 
+def rank(rows: Iterable[Iterable]) -> int:
+    return int_rank(scaled_to_int(r) for r in rows)
+
+
+def rref(rows: Iterable[Iterable]) -> tuple[Mat, tuple[int, ...]]:
+    """Reduced row echelon form and the pivot columns.
+
+    Zero rows are dropped, so the result's rows are a canonical basis of the
+    row space.  Each row is divided by its pivot entry only here, after the
+    integer elimination.
+    """
+    reduced = IntEchelon(scaled_to_int(r) for r in rows).back_substituted()
+    return (
+        tuple(tuple(Q(x, row[p]) for x in row) for p, row in reduced),
+        tuple(p for p, _ in reduced),
+    )
+
+
+def solve(a_rows: Iterable[Iterable], b: Iterable) -> Optional[Vec]:
+    """One exact solution x of A x = b, or None if the system is inconsistent.
+
+    When the solution space is positive-dimensional the free variables are set
+    to zero, which makes the answer deterministic.
+    """
+    a = [tuple(row) for row in a_rows]
+    rhs = tuple(b)
+    if len(a) != len(rhs):
+        raise ValueError("dimension mismatch")
+    ncols = len(a[0]) if a else 0
+    reduced, pivots = rref(row + (val,) for row, val in zip(a, rhs))
+    if pivots and pivots[-1] == ncols:
+        return None
+    x = [Q(0)] * ncols
+    for row, p in zip(reduced, pivots):
+        x[p] = row[-1]
+    return tuple(x)
+
+
 def nullspace(rows: Iterable[Iterable], ncols: Optional[int] = None) -> Mat:
     """Canonical basis of {x : A x = 0}, one vector per free column."""
-    a = mat(rows)
+    a = [tuple(row) for row in rows]
     if ncols is None:
         if not a:
             raise ValueError("ncols required for an empty system")
@@ -188,32 +181,38 @@ def nullspace(rows: Iterable[Iterable], ncols: Optional[int] = None) -> Mat:
     return tuple(basis)
 
 
-def inverse(m: Mat) -> Mat:
+def _with_identity(m: Mat) -> list[tuple]:
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix is not square")
-    aug = [list(row) + list(identity(n)[i]) for i, row in enumerate(m)]
-    reduced, pivots = rref(aug)
+    return [tuple(row) + tuple(int(i == j) for j in range(n)) for i, row in enumerate(m)]
+
+
+def inverse(m: Mat) -> Mat:
+    n = len(m)
+    reduced, pivots = rref(_with_identity(m))
     if pivots != tuple(range(n)):
         raise ValueError("matrix is singular")
     return tuple(tuple(row[n:]) for row in reduced)
 
 
 def det(m: Mat) -> Q:
+    """Determinant, from the integer echelon of the rows of [m | I].
+
+    Kept row k is c_k times row k of [m | I] plus a combination of earlier
+    rows, so its identity half reads c_k at column n + k, and its m half is
+    zero at the pivots of the rows before it.  det m is then the product of
+    the pivot entries, signed by the order of the pivot columns, over the
+    product of the c_k; it is 0 when a pivot falls in the identity half.
+    """
     n = len(m)
-    work = [list(vec(row)) for row in m]
-    result = Q(1)
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if work[i][c] != 0), None)
-        if pivot_row is None:
-            return Q(0)
-        if pivot_row != c:
-            work[c], work[pivot_row] = work[pivot_row], work[c]
-            result = -result
-        result *= work[c][c]
-        inv = Q(1) / work[c][c]
-        for i in range(c + 1, n):
-            if work[i][c] != 0:
-                f = work[i][c] * inv
-                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
-    return result
+    rows = IntEchelon(scaled_to_int(row) for row in _with_identity(m)).rows
+    pivots = [p for p, _ in rows]
+    if any(p >= n for p in pivots):
+        return Q(0)
+    num = den = 1
+    for k, (p, row) in enumerate(rows):
+        num *= row[p]
+        den *= row[n + k]
+    inversions = sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1:])
+    return Q(-num if inversions % 2 else num, den)

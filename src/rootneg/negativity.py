@@ -36,8 +36,9 @@ from .rootsys import (
     RootSystem,
     RootSystemSpec,
     WeylElement,
+    _cartan_from_gram,
+    _component_gram,
     act_by_inverse,
-    build_root_system,
     pairing,
     root_coords_of,
 )
@@ -261,18 +262,11 @@ def weight_lattice_basis(
     return s_basis, tuple(g_inv)
 
 
-def fundamental_lattice_index(rs: RootSystem, lam: Parameter, denominator: int = 1) -> int:
-    """Index of the parabolic-closure root lattice in the weight lattice."""
-    sigma = integral_roots(rs, lam, denominator)
-    closure = parabolic_closure(rs, [b for b in sigma if sum(b) > 0])
-    return _closure_lattice_index(rs, sigma, closure)
-
-
 def _closure_lattice_index(
     rs: RootSystem, sigma: tuple[Root, ...], closure: Subsystem
 ) -> int:
-    """fundamental_lattice_index for the integral roots sigma and their
-    parabolic closure, both already computed."""
+    """Index of the parabolic-closure root lattice in the weight lattice,
+    for the integral roots sigma and their parabolic closure."""
     s_basis, weight_basis = weight_lattice_basis(rs, sigma)
     if not s_basis:
         return 1
@@ -442,14 +436,18 @@ def certify_exponent(
 
 
 def rank_one_bound(m_type: Union[RootSystemSpec, str, None] = None) -> int:
-    """Denominator bound 18 d^2, d the product of Cartan determinants.
+    """Denominator bound 18 d^2, d the determinant of the Cartan matrix.
 
-    The empty type (no roots at all) gives d = 1, so the bound 18.
+    The Cartan matrix is block diagonal, so d is the product of the
+    components' integer Cartan determinants; no roots are built.  The empty
+    type (no roots at all) gives d = 1, so the bound 18.
     """
     if m_type is None or (isinstance(m_type, str) and not m_type.strip()):
         return 18
-    rs = build_root_system(m_type) if not isinstance(m_type, RootSystem) else m_type
-    d = linalg.det(linalg.mat(rs.cartan))
+    spec = RootSystemSpec.parse(m_type) if isinstance(m_type, str) else m_type
+    d = 1
+    for family, rank in spec.components:
+        d *= linalg.det(_cartan_from_gram(_component_gram(family, rank)))
     if d.denominator != 1 or d <= 0:
         raise AssertionError("Cartan determinant must be a positive integer")
     return 18 * int(d) ** 2

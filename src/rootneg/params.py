@@ -4,9 +4,7 @@ chamber galleries, and the edge subspace.
 Throughout, "the pairing is in (1/N)Z" means: the imaginary part vanishes and
 N times the real part is an integer.  This is the only reading under which
 the integral root set spans a real subspace, which later negativity checks
-rely on.  An alternative reading that ignores the imaginary part when testing
-move admissibility is available behind the real_part_only flag of
-equivalence_class; it is off by default.
+rely on.
 """
 
 from __future__ import annotations
@@ -30,14 +28,13 @@ from .rootsys import (
     weyl_group,
     weyl_length,
 )
-from .subsystems import Subsystem, subsystem_label
 
 
 @dataclass(frozen=True)
 class SubspaceBasis:
     """A subspace of the chamber side, spanned by rows in coweight coordinates.
 
-    The reduced row echelon form of the rows is computed once, on
+    The rows, scaled to integers, go into one integer echelon on
     construction; membership reduces a vector against it.
     """
 
@@ -50,24 +47,20 @@ class SubspaceBasis:
         for v in vecs:
             if len(v) != self.ambient_dim:
                 raise ValueError("basis vector length does not match ambient dimension")
-        echelon = linalg.rref(vecs)
-        if len(echelon[0]) != len(vecs):
+        echelon = linalg.IntEchelon(linalg.scaled_to_int(v) for v in vecs)
+        if len(echelon) != len(vecs):
             raise ValueError("subspace basis vectors are linearly dependent")
-        object.__setattr__(self, "_echelon", tuple(zip(*echelon)))
+        object.__setattr__(self, "_echelon", echelon)
 
     @property
     def dim(self) -> int:
         return len(self.vectors)
 
     def contains(self, x: Vec) -> bool:
-        rest = list(linalg.vec(x))
-        if len(rest) != self.ambient_dim:
+        x = linalg.scaled_to_int(x)
+        if len(x) != self.ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
-        for row, p in self._echelon:
-            f = rest[p]
-            if f:
-                rest = [a - f * b for a, b in zip(rest, row)]
-        return not any(rest)
+        return self._echelon.contains(x)
 
 
 def full_space(rs: RootSystem) -> SubspaceBasis:
@@ -136,24 +129,13 @@ def integral_roots(rs: RootSystem, lam: Parameter, denominator: int = 1) -> tupl
     return tuple(sorted(out))
 
 
-def integral_subsystem(rs: RootSystem, lam: Parameter, denominator: int = 1) -> Subsystem:
-    roots = integral_roots(rs, lam, denominator)
-    return Subsystem(roots, subsystem_label(rs, roots))
-
-
-def equivalence_class(
-    rs: RootSystem,
-    lam: Parameter,
-    denominator: int = 1,
-    real_part_only: bool = False,
-) -> ParameterClass:
+def equivalence_class(rs: RootSystem, lam: Parameter, denominator: int = 1) -> ParameterClass:
     """Breadth-first closure of lam under admissible simple-reflection moves.
 
     A move at the i-th simple root is admissible for mu when mu's pairing
     with that coroot is NOT in (1/denominator)Z; the reflected parameter is
-    then equivalent to mu.  With real_part_only=True the admissibility test
-    ignores the imaginary part of the pairing (documented alternative; the
-    default full test treats any nonzero imaginary part as non-integral).
+    then equivalent to mu.  Any nonzero imaginary part makes the pairing
+    non-integral.
     """
     gens = [simple_reflection(rs, i) for i in range(rs.rank)]
     ident = identity_weyl(rs)
@@ -166,11 +148,7 @@ def equivalence_class(
             w_mu = members[mu]
             for i in range(rs.rank):
                 re, im = pairing(rs, mu, rs.simple_roots[i])
-                if real_part_only:
-                    blocked = (denominator * re).denominator == 1
-                else:
-                    blocked = value_in_fraction_of_z(re, im, denominator)
-                if blocked:
+                if value_in_fraction_of_z(re, im, denominator):
                     continue
                 # s_i is its own inverse
                 nu = act_by_inverse(rs, gens[i], mu)
@@ -236,16 +214,6 @@ def c_lambda(rs: RootSystem, lam: Parameter) -> ChamberSet:
 
 def _sorted_chambers(rs: RootSystem, ws) -> tuple[WeylElement, ...]:
     return tuple(sorted(ws, key=lambda w: (weyl_length(rs, w), w.images)))
-
-
-def act_coweight(rs: RootSystem, w: WeylElement, x: Vec) -> Vec:
-    """Image of a chamber-side vector (coweight coordinates) under w.
-
-    Coordinate j of w(X) is the value of the j-th simple root on w(X), which
-    equals the value of w^{-1}(alpha_j) on X.
-    """
-    xv = linalg.vec(x)
-    return tuple(linalg.dot(img, xv) for img in w.inverse(rs).images)
 
 
 def edge(rs: RootSystem, lam: Parameter, denominator: int = 1) -> SubspaceBasis:

@@ -464,13 +464,6 @@ class WeylElement:
             inv = inv.times_simple(rs, i)
         return inv
 
-    def is_identity(self) -> bool:
-        n = len(self.images)
-        return all(
-            self.images[i] == tuple(1 if j == i else 0 for j in range(n))
-            for i in range(n)
-        )
-
 
 def identity_weyl(rs: RootSystem) -> WeylElement:
     return WeylElement(rs.simple_roots)

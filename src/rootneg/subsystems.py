@@ -3,9 +3,8 @@
 Two closure notions appear here.  A *reflection-closed* subset is stable
 under negation and under the reflections of its own members; this is the
 notion used when enumerating full-rank subsystems, so that (for example) the
-short A1xA1 inside B2 is found.  :func:`is_root_subsystem` checks the
-stricter notion that additionally demands closure under root sums, which is
-what :func:`parabolic_closure` produces.
+short A1xA1 inside B2 is found.  :func:`parabolic_closure` produces the
+stricter notion that additionally demands closure under root sums.
 
 Full-rank subsystems are listed up to W-conjugacy, exactly at every rank
 and without enumerating W: a subsystem's class is keyed by the dominant
@@ -85,30 +84,6 @@ def reflection_closure(rs: RootSystem, seed: Iterable[Root]) -> RootSet:
                 current.add(beta)
                 stack.extend(rs.reflect(g, beta) for g in gens)
     return frozenset(current)
-
-
-def is_root_subsystem(rs: RootSystem, roots: Iterable[Root]) -> bool:
-    """Whether the set is a root system in its span, closed under root sums.
-
-    Checks, for the given subset S of the ambient roots: S = -S, S is stable
-    under reflections of its members, and whenever a sum of two members (the
-    two may coincide) is an ambient root it already lies in S.
-    """
-    s = frozenset(tuple(r) for r in roots)
-    for r in s:
-        if r not in rs._root_set:
-            raise ValueError(f"{r} is not a root")
-    for beta in s:
-        if tuple(-b for b in beta) not in s:
-            return False
-    for alpha in s:
-        for beta in s:
-            if rs.reflect(alpha, beta) not in s:
-                return False
-            total = tuple(a + b for a, b in zip(alpha, beta))
-            if total in rs._root_set and total not in s:
-                return False
-    return True
 
 
 def parabolic_closure(rs: RootSystem, roots: Iterable[Root]) -> Subsystem:
@@ -210,30 +185,7 @@ def subsystem_label(rs: RootSystem, roots: Iterable[Root]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Affine node data (both for the system itself and for bds children)
-
-@dataclass(frozen=True)
-class AffineComponent:
-    """Extended node set of one irreducible component.
-
-    marks[i] is the coefficient of simple_nodes[i] in the highest root; the
-    trailing mark, for the added lowest-root node, is 1.
-    """
-
-    simple_nodes: tuple[Root, ...]
-    affine_node: Root
-    marks: tuple[int, ...]
-    bonds: tuple[tuple[int, int, int, int], ...]
-
-    @property
-    def nodes(self) -> tuple[Root, ...]:
-        return self.simple_nodes + (self.affine_node,)
-
-
-@dataclass(frozen=True)
-class AffineDiagram:
-    components: tuple[AffineComponent, ...]
-
+# Affine node data (for bds children)
 
 Side = Literal["root", "coroot"]
 
@@ -301,33 +253,6 @@ def _component_affine(
         raise AssertionError("highest root is not a positive integral simple combination")
     marks = tuple(int(x) for x in sol)
     return simple, top, marks
-
-
-def affine_diagram(rs: RootSystem, roots: Optional[Iterable[Root]] = None) -> AffineDiagram:
-    """Extended (lowest-root) diagram of a subsystem, one entry per component.
-
-    With no subset given, describes the whole system.  Non-reduced components
-    contribute the diagram of their indivisible part.
-    """
-    items = frozenset(tuple(r) for r in roots) if roots is not None else frozenset(rs.roots)
-    for r in items:
-        if r not in rs._root_set:
-            raise ValueError(f"{r} is not a root")
-    comps = component_split(rs, items)
-    out = []
-    for comp in comps:
-        simple, top, marks = _component_affine(rs, comp, "root")
-        lowest = tuple(-t for t in top)
-        nodes = simple + (lowest,)
-        bonds = []
-        for i in range(len(nodes)):
-            for j in range(i + 1, len(nodes)):
-                a_ij = rs.root_pairing(nodes[j], nodes[i])
-                a_ji = rs.root_pairing(nodes[i], nodes[j])
-                if a_ij != 0:
-                    bonds.append((i, j, a_ij, a_ji))
-        out.append(AffineComponent(simple, lowest, marks + (1,), tuple(bonds)))
-    return AffineDiagram(tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +402,8 @@ def full_rank_subsystems(
         for roots in sorted(tuple(sorted(c)) for c in candidates):
             reps.setdefault(_conjugacy_key(rs, frozenset(roots)), roots)
     else:
+        # a child reached from several parents is queued (and keyed) once
+        queued = {frozenset(rs.roots)}
         queue = [(rs.roots, frozenset(rs.roots))]
         while queue:
             queue.sort()
@@ -485,9 +412,10 @@ def full_rank_subsystems(
             if key in reps:
                 continue
             reps[key] = roots
-            for child in _children(rs, s):
+            for child in _children(rs, s) - queued:
                 if linalg.int_rank(child) != rs.rank:
                     raise AssertionError("child subsystem lost full rank")
+                queued.add(child)
                 queue.append((tuple(sorted(child)), child))
 
     out = [Subsystem(roots, subsystem_label(rs, roots)) for roots in reps.values()]

@@ -239,6 +239,13 @@ def test_snf_ragged_matrix(capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("matrix", [";", ";;", "1,2;", ";1,2"])
+def test_snf_refuses_rows_without_entries(capsys, matrix):
+    code, out, err = invoke(capsys, "snf", "--matrix", matrix)
+    assert (code, out) == (2, "")
+    assert "has a row with no entries" in err
+
+
 def test_capacity_guard_names_limit(capsys):
     code, _, err = invoke(capsys, "gallery", "--type", "E8", "--re", "0,0,0,0,0,0,0,0")
     assert code == 2 and "1000000" in err

@@ -1,18 +1,26 @@
-"""Source hygiene: every name a module imports is used in that module.
+"""Source hygiene, by AST scans of src/rootneg/*.py.
 
-An AST scan of src/rootneg/*.py.  The package ``__init__.py`` is exempt,
-because its imports are the package's re-exports.  Names used only inside
-string annotations count as used.
+Every name a module imports is used in that module.  The package
+``__init__.py`` is exempt, because its imports are the package's re-exports.
+Names used only inside string annotations count as used.
+
+Every top-level public function and class is referenced somewhere in the
+program (src/, demos/, perfbench/) or in the README, other than at its own
+definition: as a name, an attribute, or an imported name (which covers the
+package's re-exports).
 """
 
 from __future__ import annotations
 
 import ast
+import functools
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "rootneg"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "rootneg"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -67,3 +75,58 @@ def test_scan_flags_an_unused_import():
     assert set(_imported(tree)) - _used(tree) == {"os", "Union"}
     quoted = ast.parse("from typing import Union\ndef f() -> 'Union[int, str]': pass\n")
     assert set(_imported(quoted)) <= _used(quoted)
+
+
+def _public_defs(tree: ast.Module) -> dict[str, int]:
+    """Top-level public function and class name -> line."""
+    return {
+        node.name: node.lineno
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    }
+
+
+def _referenced(tree: ast.Module) -> set[str]:
+    names = _used(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+@functools.cache
+def _program_references() -> frozenset[str]:
+    names = set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
+    for folder in ("src", "demos", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            names |= _referenced(ast.parse(path.read_text(encoding="utf-8")))
+    return frozenset(names)
+
+
+def _unreferenced(tree: ast.Module, references) -> list[str]:
+    return sorted(
+        f"{name} (line {line})" for name, line in _public_defs(tree).items()
+        if name not in references
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_unreferenced_public_names(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    unreferenced = _unreferenced(tree, _program_references())
+    assert not unreferenced, (
+        f"{path.name} defines public names that nothing references: {', '.join(unreferenced)}"
+    )
+
+
+def test_scan_flags_an_unreferenced_def():
+    source = (SRC / "linalg.py").read_text(encoding="utf-8")
+    planted = ast.parse(source + "\n\ndef planted_helper():\n    return 1\n\n\nclass _Private:\n    pass\n")
+    line = len(source.splitlines()) + 3
+    assert _unreferenced(planted, _program_references()) == [f"planted_helper (line {line})"]
+    caller = ast.parse("from m import used\nKept()\nx.attr()\n")
+    module = ast.parse("def used(): pass\ndef unused(): pass\nclass Kept: pass\ndef attr(): pass\n")
+    assert _unreferenced(module, _referenced(caller)) == ["unused (line 2)"]

@@ -8,7 +8,6 @@ import pytest
 from rootneg import linalg
 from rootneg.lattice import (
     hermite_row_basis,
-    lattice_from_generators,
     lattice_index,
     quotient_divisors,
     smith_normal_form,
@@ -80,9 +79,9 @@ def test_hermite_pivots_positive_and_reduced():
 
 
 def test_lattice_from_generators():
-    lat = lattice_from_generators([[2, 0], [0, 2], [1, 1]], 2)
-    assert lat.rank == 2
-    assert lat.basis == ((1, 1), (0, 2))
+    basis = hermite_row_basis([[2, 0], [0, 2], [1, 1]])
+    assert len(basis) == 2
+    assert basis == ((1, 1), (0, 2))
 
 
 def test_quotient_divisors_known():
@@ -105,6 +104,11 @@ def test_quotient_divisors_rational_scaling_invariance():
 def test_quotient_divisors_requires_containment():
     with pytest.raises(ValueError):
         quotient_divisors([[1, 0], [0, Q(1, 2)]], [[1, 0], [0, 1]])
+    # equal rank, but a different span
+    with pytest.raises(ValueError):
+        quotient_divisors([[1, 1]], [[1, 0]])
+    with pytest.raises(ValueError):
+        quotient_divisors([[1, 0, 1], [0, 2, 0]], [[1, 0, 0], [0, 1, 0]])
 
 
 def test_quotient_divisors_requires_equal_rank():
@@ -133,3 +137,7 @@ def test_quotient_divisors_matches_index_random():
         for x in divisors:
             product *= x
         assert product == abs(det)
+        # the coordinates of sub over the basis sup are the rows of mult
+        assert divisors == smith_normal_form(mult).divisors
+        halves = [[Q(x, 2) for x in row] for row in sub + sup]
+        assert quotient_divisors(halves[:n], halves[n:]) == divisors

@@ -6,13 +6,12 @@ from fractions import Fraction as Q
 
 import pytest
 
-from rootneg import linalg
+from rootneg import linalg, negativity, rootsys
 from rootneg.negativity import (
     NegativityQuery,
     certify_exponent,
     check_class_negativity,
     check_negativity,
-    fundamental_lattice_index,
     integral_class_constant,
     rank_one_bound,
     span_basis_of_integral_roots,
@@ -21,6 +20,7 @@ from rootneg.negativity import (
 )
 from rootneg.params import SubspaceBasis, full_space, gallery_class, integral_roots
 from rootneg.rootsys import Parameter, WeylElement, build_root_system, rho
+from test_linalg import fraction_det
 
 
 def test_query_validation():
@@ -170,16 +170,6 @@ def test_fundamental_lemma_denominator_two_non_reduced():
     assert not rep.integrality_ok
 
 
-def test_lattice_index_table():
-    expected = {
-        "A1": 2, "A2": 3, "A3": 4, "A4": 5,
-        "B2": 2, "B3": 2, "C3": 2, "D4": 4, "G2": 1,
-    }
-    for name, n in expected.items():
-        rs = build_root_system(name)
-        assert fundamental_lattice_index(rs, rho(rs).scale(Q(-1))) == n
-
-
 def test_integral_class_constant():
     a2 = build_root_system("A2")
     assert integral_class_constant(a2, Parameter.of([-1, -1])) == 1
@@ -247,6 +237,23 @@ def test_rank_one_bound_values():
     assert rank_one_bound("B2") == 72
     assert rank_one_bound("G2") == 18
     assert rank_one_bound("A1xA1") == 288
+
+
+@pytest.mark.parametrize("name", ["A7", "B5", "C6", "BC4", "D8", "E7", "F4xG2", "A3xBC2xD5"])
+def test_rank_one_bound_is_the_full_cartan_determinant(name):
+    assert rank_one_bound(name) == 18 * fraction_det(build_root_system(name).cartan) ** 2
+
+
+def test_rank_one_bound_builds_no_roots(monkeypatch):
+    def refuse(spec):
+        raise AssertionError(f"built the roots of {spec}")
+
+    monkeypatch.setattr(rootsys, "build_root_system", refuse)
+    monkeypatch.setattr(negativity, "build_root_system", refuse, raising=False)
+    monkeypatch.setattr(rootsys.RootSystem, "__init__", refuse)
+    assert rank_one_bound("A2xB3xG2") == 648
+    assert rank_one_bound("A120") == 18 * 121**2
+    assert rank_one_bound("BC200xD100") == 18 * 8**2
 
 
 def test_witness_actually_certifies():

@@ -5,18 +5,18 @@ import itertools
 
 import pytest
 
+from rootneg import subsystems
 from rootneg.rootsys import build_root_system, simple_reflection, weyl_group
 from rootneg.subsystems import (
     BRUTE_FORCE_MAX_RANK,
     _brute_force_sets,
     _children,
+    _component_affine,
     _conjugacy_key,
-    affine_diagram,
     census,
     class_divisors,
     component_split,
     full_rank_subsystems,
-    is_root_subsystem,
     n_of_subsystem,
     n_sigma,
     parabolic_closure,
@@ -45,22 +45,46 @@ def test_reflection_closure_of_orthogonal_pair_stays_small():
     assert reflection_closure(rs, [(1, 0), (1, 2)]) == _long_a1xa1(rs)
 
 
+def _is_root_subsystem(rs, roots):
+    """Whether the set is stable under negation, under the reflections of its
+    members, and under sums of two members that are ambient roots."""
+    s = frozenset(roots)
+    return all(
+        tuple(-b for b in beta) in s
+        and all(
+            rs.reflect(alpha, beta) in s
+            and (tuple(map(sum, zip(alpha, beta))) not in rs._root_set
+                 or tuple(map(sum, zip(alpha, beta))) in s)
+            for alpha in s
+        )
+        for beta in s
+    )
+
+
 def test_is_root_subsystem():
     a2 = build_root_system("A2")
-    assert is_root_subsystem(a2, {(1, 1), (-1, -1)})
+    assert _is_root_subsystem(a2, {(1, 1), (-1, -1)})
     # fails sum closure: alpha1 + alpha2 is a root outside the set
-    assert not is_root_subsystem(a2, {(1, 0), (-1, 0), (0, 1), (0, -1)})
+    assert not _is_root_subsystem(a2, {(1, 0), (-1, 0), (0, 1), (0, -1)})
     g2 = build_root_system("G2")
     short_roots = {b for b in g2.roots if g2.length_sq(b) == 2}
-    assert not is_root_subsystem(g2, short_roots)
+    assert not _is_root_subsystem(g2, short_roots)
 
     rs = build_root_system("B2")
-    assert is_root_subsystem(rs, _long_a1xa1(rs))
-    # two short roots sum to a long root outside the set
-    assert not is_root_subsystem(rs, _short_a1xa1(rs))
-    assert is_root_subsystem(rs, set(rs.roots))
-    assert not is_root_subsystem(rs, {(1, 0)})  # missing the negative
-    assert not is_root_subsystem(rs, {(1, 0), (-1, 0), (0, 1)})
+    assert _is_root_subsystem(rs, _long_a1xa1(rs))
+    # two short roots sum to a long root outside the set, though the set is
+    # reflection-closed: the census finds it, parabolic closure never makes it
+    assert not _is_root_subsystem(rs, _short_a1xa1(rs))
+    assert reflection_closure(rs, _short_a1xa1(rs)) == _short_a1xa1(rs)
+    assert _is_root_subsystem(rs, set(rs.roots))
+    assert not _is_root_subsystem(rs, {(1, 0)})  # missing the negative
+    assert not _is_root_subsystem(rs, {(1, 0), (-1, 0), (0, 1)})
+
+    # parabolic closures are closed under root sums
+    for name in ("A3", "B3", "C3", "BC2", "G2", "B2xG2"):
+        rs = build_root_system(name)
+        for seed in itertools.combinations(rs.positive_roots, 2):
+            assert _is_root_subsystem(rs, parabolic_closure(rs, seed).roots), (name, seed)
 
 
 def test_parabolic_closure_fills_the_span():
@@ -115,21 +139,41 @@ def test_g2_length_class_subsystems():
 
 def test_affine_diagram_marks():
     rs = build_root_system("G2")
-    comp = affine_diagram(rs).components[0]
-    assert comp.simple_nodes == ((0, 1), (1, 0))
-    assert comp.affine_node == (-2, -3)
-    assert comp.marks == (3, 2, 1)
+    simple, top, marks = _component_affine(rs, frozenset(rs.roots), "root")
+    assert simple == ((0, 1), (1, 0))
+    assert top == (2, 3)
+    assert marks == (3, 2)
 
     rs = build_root_system("B2")
-    comp = affine_diagram(rs).components[0]
-    assert comp.affine_node == (-1, -2)
-    assert comp.marks == (2, 1, 1)
+    simple, top, marks = _component_affine(rs, frozenset(rs.roots), "root")
+    assert top == (1, 2)
+    assert marks == (2, 1)
+    # on the coroot side: the coroot of the short root (1, 1) is the highest
+    # (of type C2), 2 alpha_1-coroot + alpha_2-coroot
+    simple, top, marks = _component_affine(rs, frozenset(rs.roots), "coroot")
+    assert simple == ((0, 1), (1, 0))
+    assert top == (1, 1)
+    assert marks == (1, 2)
 
 
 def test_affine_diagram_splits_products():
     rs = build_root_system("A1xA1")
-    diagram = affine_diagram(rs)
-    assert len(diagram.components) == 2
+    comps = component_split(rs, rs.roots)
+    assert len(comps) == 2
+    assert [_component_affine(rs, c, "root")[2] for c in comps] == [(1,), (1,)]
+
+
+def test_bds_keys_each_candidate_once(monkeypatch):
+    keyed = []
+    original = subsystems._conjugacy_key
+
+    def counting_key(rs, s):
+        keyed.append(s)
+        return original(rs, s)
+
+    monkeypatch.setattr(subsystems, "_conjugacy_key", counting_key)
+    assert len(full_rank_subsystems(build_root_system("BC3"))) == 26
+    assert len(keyed) == len(set(keyed)) == 43
 
 
 CLASS_TABLES = {
