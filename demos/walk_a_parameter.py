@@ -48,8 +48,8 @@ for w, mu in cls.members:
 print()
 
 gallery = gallery_class(rs, lam)
-print(f"gallery has {len(gallery.chambers)} chambers:")
-for u in gallery.chambers:
+print(f"gallery has {len(gallery)} chambers:")
+for u in gallery:
     print(f"  chamber of word {list(reduced_word(rs, u))}")
 print()
 

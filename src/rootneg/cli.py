@@ -32,18 +32,18 @@ from .negativity import (
 )
 from .params import (
     SubspaceBasis,
-    c_lambda,
+    chamber_count,
     edge,
     equivalence_class,
     gallery_class,
     reduced_word,
 )
 from .rootsys import (
+    WEYL_ORDER_LIMIT,
     CapacityError,
     Parameter,
     RootSystem,
     build_root_system,
-    check_enumerable,
     dual,
     weyl_order,
 )
@@ -125,6 +125,20 @@ def _denominator(args: argparse.Namespace) -> int:
     if n < 1:
         raise ValueError("--denominator must be a positive integer")
     return n
+
+
+def _check_chambers(rs: RootSystem, lam: Parameter) -> None:
+    """Refuse lam when its gallery, which bounds its move class at every
+    denominator, has more than WEYL_ORDER_LIMIT chambers; the count is at
+    most |W|, so it is computed only when |W| is above the limit."""
+    if weyl_order(rs.spec) <= WEYL_ORDER_LIMIT:
+        return
+    count = chamber_count(rs, lam)
+    if count > WEYL_ORDER_LIMIT:
+        raise CapacityError(
+            f"the gallery of this parameter in {rs.spec} has {count} chambers, "
+            f"above the limit {WEYL_ORDER_LIMIT}"
+        )
 
 
 def _word(rs: RootSystem, w) -> list[int]:
@@ -229,12 +243,11 @@ def _cmd_subsystems(args) -> tuple[JsonDoc, int]:
 
 def _cmd_class(args) -> tuple[JsonDoc, int]:
     rs = build_root_system(args.type)
-    check_enumerable(rs)
     lam = _parameter(rs, args)
     n = _denominator(args)
+    _check_chambers(rs, lam)
     cls = equivalence_class(rs, lam, n)
     gallery = gallery_class(rs, lam)
-    cone = c_lambda(rs, lam)
     e = edge(rs, lam, n)
     doc = {
         "type": str(rs.spec),
@@ -246,7 +259,7 @@ def _cmd_class(args) -> tuple[JsonDoc, int]:
             for w, mu in cls.members
         ],
         "gallery_size": len(gallery),
-        "chamber_count": len(cone),
+        "chamber_count": chamber_count(rs, lam),
         "edge_dim": e.dim,
         "edge_basis": _q_rows(e.vectors),
     }
@@ -255,15 +268,15 @@ def _cmd_class(args) -> tuple[JsonDoc, int]:
 
 def _cmd_gallery(args) -> tuple[JsonDoc, int]:
     rs = build_root_system(args.type)
-    check_enumerable(rs)
     lam = _parameter(rs, args)
+    _check_chambers(rs, lam)
     gallery = gallery_class(rs, lam)
     doc = {
         "type": str(rs.spec),
         "re": _q_list(lam.re),
         "im": _q_list(lam.im),
         "size": len(gallery),
-        "chambers": [_word(rs, w) for w in gallery.chambers],
+        "chambers": [_word(rs, w) for w in gallery],
     }
     return doc, 0
 
@@ -286,10 +299,10 @@ def _cmd_edge(args) -> tuple[JsonDoc, int]:
 
 def _cmd_negativity(args) -> tuple[JsonDoc, int]:
     rs = build_root_system(args.type)
-    check_enumerable(rs)
     lam = _parameter(rs, args)
     n = _denominator(args)
     basis = _subspace(rs, args.subspace)
+    _check_chambers(rs, lam)
     report = check_class_negativity(rs, lam, args.mode, basis, n)
     # the class report checks lam itself as the member with w = identity
     verdict = next(m.verdict for m in report.members if m.mu == lam)
@@ -312,10 +325,10 @@ def _cmd_negativity(args) -> tuple[JsonDoc, int]:
 
 def _cmd_fundamental(args) -> tuple[JsonDoc, int]:
     rs = build_root_system(args.type)
-    check_enumerable(rs)
     lam = _parameter(rs, args)
     n = _denominator(args)
     basis = _subspace(rs, args.subspace)
+    _check_chambers(rs, lam)
     report = verify_fundamental_lemma(rs, lam, args.mode, basis, n)
     containing = (
         _word(rs, report.containing_member[0])

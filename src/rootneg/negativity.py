@@ -308,9 +308,8 @@ def verify_fundamental_lemma(
     edge_basis = SubspaceBasis(rs.rank, linalg.nullspace(edge_rows, ncols=rs.rank))
 
     assigned = full_space(rs) if mode == "strict" or subspaces is None else subspaces
-    gallery = gallery_class(rs, lam)
     containing: Optional[tuple[WeylElement, SubspaceBasis]] = None
-    for u in gallery.chambers:
+    for u in gallery_class(rs, lam):
         # w = u^{-1}: w lam and w(X)_j = (u alpha_j)(X) read u directly.
         a_mu = _subspace_for(assigned, act_by_inverse(rs, u, lam))
         if all(

@@ -1,5 +1,7 @@
 """Integrality data of a parameter: integral roots, move classes,
-chamber galleries, and the edge subspace.
+chamber galleries, and the edge subspace.  A gallery holds one chamber per
+coset of W(Sigma), Sigma the integral roots, so chamber_count is the index
+|W : W(Sigma)| and no element of W is enumerated.
 
 Throughout, "the pairing is in (1/N)Z" means: the imaginary part vanishes and
 N times the real part is an integer.  This is the only reading under which
@@ -25,9 +27,9 @@ from .rootsys import (
     pairing,
     root_coords_of,
     simple_reflection,
-    weyl_group,
-    weyl_length,
+    weyl_order,
 )
+from .subsystems import subsystem_spec
 
 
 @dataclass(frozen=True)
@@ -65,19 +67,6 @@ class SubspaceBasis:
 
 def full_space(rs: RootSystem) -> SubspaceBasis:
     return SubspaceBasis(rs.rank, tuple(linalg.identity(rs.rank)))
-
-
-@dataclass(frozen=True)
-class ChamberSet:
-    """A set of closed chambers w(C), ordered by (length, images)."""
-
-    chambers: tuple[WeylElement, ...]
-
-    def __contains__(self, w: WeylElement) -> bool:
-        return w in set(self.chambers)
-
-    def __len__(self) -> int:
-        return len(self.chambers)
 
 
 @dataclass(frozen=True)
@@ -166,54 +155,42 @@ def _parameter_sort_key(p: Parameter) -> tuple:
     return (p.re, p.im)
 
 
-def gallery_class(rs: RootSystem, lam: Parameter) -> ChamberSet:
-    """Chambers reachable from C crossing only walls of non-integral roots.
+def gallery_class(rs: RootSystem, lam: Parameter) -> tuple[WeylElement, ...]:
+    """Chambers u(C) reachable from C crossing only walls of non-integral
+    roots, as the elements u ordered by (length, images).
 
     Stepping from u(C) to u s_i(C) crosses the wall of u(alpha_i); the step
     is allowed iff that (indivisible) root is outside the integral root set.
+    Breadth-first level k is the chambers of length k, since a minimal
+    gallery between two chambers of the cone crosses none of its walls.
     """
     sigma = frozenset(integral_roots(rs, lam, 1))
-    ident = identity_weyl(rs)
-    seen = {ident.images: ident}
-    frontier = [ident]
-    while frontier:
+    level = [identity_weyl(rs)]
+    seen = {level[0].images}
+    out: list[WeylElement] = []
+    while level:
+        out.extend(level)
         nxt = []
-        for u in frontier:
+        for u in level:
             for i in range(rs.rank):
                 if u.images[i] in sigma:
                     continue
                 v = u.times_simple(rs, i)
                 if v.images not in seen:
-                    seen[v.images] = v
+                    seen.add(v.images)
                     nxt.append(v)
-        frontier = nxt
-    return ChamberSet(_sorted_chambers(rs, seen.values()))
+        level = sorted(nxt)
+    return tuple(out)
 
 
-def c_lambda(rs: RootSystem, lam: Parameter) -> ChamberSet:
-    """Chambers w(C) inside {X : alpha(X) >= 0 for all positive integral alpha}.
-
-    On w(C), alpha takes the signs that w^{-1}(alpha) takes on C, and a root
-    is positive on C exactly when it is a positive root.  So w(C) lies in the
-    cone exactly when v = w^{-1} maps every positive integral root to a
-    positive root: the scan runs over v in W and keeps v^{-1}.
+def chamber_count(rs: RootSystem, lam: Parameter) -> int:
+    """Number of chambers in the gallery of lam, |W| / |W(Sigma)| for Sigma
+    the integral roots at denominator 1: the gallery fills the cone C_lambda,
+    which holds one chamber per coset of W(Sigma) (Humphreys, Reflection
+    Groups and Coxeter Groups §1.10; Dyer 1990, J. Algebra 135).
     """
-    sigma_pos = [b for b in integral_roots(rs, lam, 1) if sum(b) > 0]
-    out = []
-    for v in weyl_group(rs):
-        for alpha in sigma_pos:
-            image = v.apply_root(alpha)
-            if not rs.contains(image):
-                raise AssertionError("a Weyl element sent a root off the root system")
-            if sum(image) < 0:
-                break
-        else:
-            out.append(v.inverse(rs))
-    return ChamberSet(_sorted_chambers(rs, out))
-
-
-def _sorted_chambers(rs: RootSystem, ws) -> tuple[WeylElement, ...]:
-    return tuple(sorted(ws, key=lambda w: (weyl_length(rs, w), w.images)))
+    spec = subsystem_spec(rs, integral_roots(rs, lam, 1))
+    return weyl_order(rs.spec) // (weyl_order(spec) if spec is not None else 1)
 
 
 def edge(rs: RootSystem, lam: Parameter, denominator: int = 1) -> SubspaceBasis:

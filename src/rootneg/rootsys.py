@@ -25,7 +25,8 @@ from .linalg import Vec
 
 Root = tuple[int, ...]
 
-#: Hard ceiling on Weyl group enumeration (E6 is under it, E7 and E8 are not).
+#: Hard ceiling on Weyl group enumeration (E6 is under it, E7 and E8 are
+#: not) and on the chamber gallery of a parameter the CLI walks.
 WEYL_ORDER_LIMIT = 10**6
 
 _FAMILIES = ("A", "B", "BC", "C", "D", "E", "F", "G")
@@ -264,12 +265,6 @@ class RootSystem:
     def contains(self, beta: Root) -> bool:
         return tuple(beta) in self._root_set
 
-    def is_indivisible(self, beta: Root) -> bool:
-        if tuple(beta) not in self._root_set:
-            raise ValueError(f"{beta} is not a root")
-        half = tuple(b // 2 for b in beta)
-        return not (all(b % 2 == 0 for b in beta) and half in self._root_set)
-
     def double_of(self, beta: Root) -> Union[Root, None]:
         dbl = tuple(2 * b for b in beta)
         return dbl if dbl in self._root_set else None
@@ -494,15 +489,6 @@ def descent_word(rs: RootSystem, w: WeylElement) -> tuple[int, ...]:
             return tuple(word)
         word.append(i)
         w = w.times_simple(rs, i)
-
-
-def weyl_length(rs: RootSystem, w: WeylElement) -> int:
-    """Number of indivisible positive roots sent to negative roots."""
-    count = 0
-    for beta in rs.positive_roots:
-        if rs.is_indivisible(beta) and sum(w.apply_root(beta)) < 0:
-            count += 1
-    return count
 
 
 @lru_cache(maxsize=None)

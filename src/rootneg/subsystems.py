@@ -98,29 +98,27 @@ def parabolic_closure(rs: RootSystem, roots: Iterable[Root]) -> Subsystem:
 
 
 def component_split(rs: RootSystem, roots: Iterable[Root]) -> tuple[RootSet, ...]:
-    """Connected components under non-orthogonality, sorted for determinism."""
-    items = sorted(set(tuple(r) for r in roots))
-    index = {r: i for i, r in enumerate(items)}
-    parent = list(range(len(items)))
+    """Connected components under non-orthogonality, sorted for determinism.
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, a in enumerate(items):
-        for j in range(i + 1, len(items)):
-            if rs.root_pairing(items[j], a) != 0:
-                ri, rj = find(i), find(index[items[j]])
-                if ri != rj:
-                    parent[ri] = rj
-    groups: dict[int, set[Root]] = {}
-    for i, r in enumerate(items):
-        groups.setdefault(find(i), set()).add(r)
-    return tuple(
-        sorted((frozenset(g) for g in groups.values()), key=lambda s: sorted(s))
-    )
+    Components span orthogonal subspaces, so a root meets a group exactly
+    when it pairs with one of the at most rank roots spanning the groups, and
+    one echelon of those roots tells whether it extends their spans.
+    """
+    echelon = linalg.IntEchelon()
+    # each group: (the roots that span it, its members)
+    groups: list[tuple[list[Root], set[Root]]] = []
+    for r in set(tuple(r) for r in roots):
+        span, members, rest = [], {r}, []
+        for g in groups:
+            if any(rs.root_pairing(r, b) for b in g[0]):
+                span += g[0]
+                members |= g[1]
+            else:
+                rest.append(g)
+        if echelon.add(r):
+            span.append(r)
+        groups = rest + [(span, members)]
+    return tuple(sorted((frozenset(m) for _, m in groups), key=sorted))
 
 
 # ---------------------------------------------------------------------------

@@ -247,8 +247,63 @@ def test_snf_refuses_rows_without_entries(capsys, matrix):
 
 
 def test_capacity_guard_names_limit(capsys):
-    code, _, err = invoke(capsys, "gallery", "--type", "E8", "--re", "0,0,0,0,0,0,0,0")
+    # no integral roots: the gallery is all of W(E8)
+    code, _, err = invoke(capsys, "gallery", "--type", "E8", "--re", ",".join(["1/97"] * 8))
     assert code == 2 and "1000000" in err
+    assert "696729600" in err
+
+
+def _forbid(monkeypatch, *names):
+    """Make every binding of each name in the rootneg modules raise when called."""
+    for module in [m for n, m in sys.modules.items() if n == "rootneg" or n.startswith("rootneg.")]:
+        for name in names:
+            if hasattr(module, name):
+
+                def refuse(*args, _name=name, **kwargs):
+                    raise RuntimeError(f"{_name} called")
+
+                monkeypatch.setattr(module, name, refuse)
+
+
+_F4_OPS = (
+    ("class", "--type", "F4", "--re", "1/2,1,1/3,1/2"),
+    ("gallery", "--type", "F4", "--re", "1/2,1,1/3,1/2"),
+    ("negativity", "--type", "F4", "--re", "-1,-1,-1,-1", "--mode", "strict"),
+    ("fundamental", "--type", "F4", "--re", "1/2,1,1/3,1/2", "--mode", "weak"),
+)
+
+
+@pytest.mark.parametrize("argv", _F4_OPS, ids=[a[0] for a in _F4_OPS])
+def test_parameter_commands_scan_no_weyl_group(capsys, monkeypatch, argv):
+    _forbid(monkeypatch, "weyl_group", "c_lambda")
+    code, out, err = invoke(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["type"] == "F4"
+
+
+@pytest.mark.parametrize("argv", _F4_OPS[1:3], ids=[a[0] for a in _F4_OPS[1:3]])
+def test_chamber_count_only_above_the_weyl_order_limit(capsys, monkeypatch, argv):
+    # |W(F4)| = 1152 is within the limit, so the guard computes no index
+    _forbid(monkeypatch, "subsystem_spec", "chamber_count")
+    code, _, err = invoke(capsys, *argv)
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize(
+    "type_name, re, count",
+    [
+        ("E7", "0,0,0,0,0,0,0", 1),
+        ("E7", "1/2,0,0,0,0,0,0", 63),
+        ("E8", "0,0,0,0,0,0,0,0", 1),
+        ("E8", "1/2,0,0,0,0,0,0,0", 135),
+    ],
+)
+def test_e7_e8_within_the_limit_are_answered(capsys, type_name, re, count):
+    code, out, _ = invoke(capsys, "class", "--type", type_name, "--re", re)
+    assert code == 0
+    doc = json.loads(out)
+    # the coset index, the walked gallery and (at denominator 1) the class agree
+    assert doc["chamber_count"] == doc["gallery_size"] == len(doc["members"]) == count
 
 
 def test_pretty_only_changes_whitespace(capsys):

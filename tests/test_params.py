@@ -9,7 +9,7 @@ import pytest
 from rootneg import linalg
 from rootneg.params import (
     SubspaceBasis,
-    c_lambda,
+    chamber_count,
     edge,
     equivalence_class,
     evaluate_on_coweight,
@@ -26,10 +26,11 @@ from rootneg.rootsys import (
     pairing,
     rho,
     weyl_group,
-    weyl_length,
 )
 from rootneg.subsystems import subsystem_label
+from rootneg.verification import c_lambda
 from test_linalg import fraction_rref
+from test_rootsys import weyl_length
 
 
 def test_value_in_fraction_of_z():
@@ -124,7 +125,7 @@ def test_gallery_b2_frozen_case():
     lam = Parameter.of([Q(1, 2), Q(1)])
     assert integral_roots(rs, lam, 1) == ((-1, -1), (0, -1), (0, 1), (1, 1))
     gallery = gallery_class(rs, lam)
-    assert [reduced_word(rs, w) for w in gallery.chambers] == [(), (1,)]
+    assert [reduced_word(rs, w) for w in gallery] == [(), (1,)]
     cls = equivalence_class(rs, lam, 1)
     assert {m.re for m in cls.parameters} == {
         (Q(1, 2), Q(1)),
@@ -133,17 +134,23 @@ def test_gallery_b2_frozen_case():
 
 
 def test_c_lambda_equals_gallery_on_samples():
+    """The cone, the gallery and the coset index |W : W(Sigma)| agree."""
     rng = random.Random(23)
-    for name in ("A2", "B2", "G2", "BC1"):
+    for name in (
+        "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4",
+        "F4", "G2", "BC1", "BC2", "BC3", "BC4", "B2xG2",
+    ):
         rs = build_root_system(name)
-        for _ in range(40):
+        for k in range(40 if rs.rank < 4 else 12):
+            # every other sample is real, so that it has integral roots
             lam = Parameter(
                 tuple(Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rs.rank)),
-                tuple(Q(rng.randint(-1, 1), 2) for _ in range(rs.rank)),
+                tuple(Q(rng.randint(-1, 1), 2) if k % 2 else Q(0) for _ in range(rs.rank)),
             )
-            assert set(c_lambda(rs, lam).chambers) == set(
-                gallery_class(rs, lam).chambers
-            )
+            cone = c_lambda(rs, lam)
+            gallery = gallery_class(rs, lam)
+            assert cone == gallery, (name, lam)
+            assert chamber_count(rs, lam) == len(cone) == len(gallery), (name, lam)
 
 
 def test_edge_frozen_cases():
@@ -187,7 +194,7 @@ def test_subspace_basis_validation():
 
 
 def test_reduced_word_round_trip():
-    from rootneg.rootsys import identity_weyl, simple_reflection, weyl_length
+    from rootneg.rootsys import identity_weyl, simple_reflection
 
     rs = build_root_system("B2")
     for w in weyl_group(rs):
@@ -254,7 +261,7 @@ def test_c_lambda_matches_interior_point_oracle(name):
             tuple(Q(rng.randint(-4, 4), rng.choice((1, 2, 2, 3))) for _ in range(rs.rank)),
             tuple(Q(0) for _ in range(rs.rank)),
         )
-        assert list(c_lambda(rs, lam).chambers) == _interior_point_cone(rs, lam)
+        assert list(c_lambda(rs, lam)) == _interior_point_cone(rs, lam)
 
 
 @pytest.mark.parametrize("name", ["BC3", "G2", "F4", "B2xG2"])

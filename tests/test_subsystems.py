@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import random
+from fractions import Fraction as Q
 
 import pytest
 
 from rootneg import subsystems
-from rootneg.rootsys import build_root_system, simple_reflection, weyl_group
+from rootneg.params import integral_roots
+from rootneg.rootsys import Parameter, build_root_system, simple_reflection, weyl_group
 from rootneg.subsystems import (
     BRUTE_FORCE_MAX_RANK,
     _brute_force_sets,
@@ -106,6 +109,50 @@ def test_component_split():
         [(-1, 0), (1, 0)],
     ]
     assert len(component_split(rs, set(rs.roots))) == 1
+
+
+def _union_find_split(rs, roots):
+    """Components by union-find over every pair of roots: the O(|S|^2) oracle."""
+    items = sorted(set(tuple(r) for r in roots))
+    parent = list(range(len(items)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, a in enumerate(items):
+        for j in range(i + 1, len(items)):
+            if rs.root_pairing(items[j], a) != 0:
+                parent[find(i)] = find(j)
+    groups = {}
+    for i, r in enumerate(items):
+        groups.setdefault(find(i), set()).add(r)
+    return tuple(sorted((frozenset(g) for g in groups.values()), key=sorted))
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["A1", "A3", "B2", "B3", "C3", "D4", "G2", "F4", "BC1", "BC2", "BC3",
+     "A1xA1", "A2xB2", "B2xG2", "D5", "E6"],
+)
+def test_component_split_matches_union_find(name):
+    rs = build_root_system(name)
+    rng = random.Random(f"component_split/{name}")
+    subsets = [set(rs.roots), set()]
+    for _ in range(20):
+        # arbitrary subsets, not closed under anything
+        p = rng.choice((0.1, 0.3, 0.6))
+        subsets.append({r for r in rs.roots if rng.random() < p})
+        # reflection-closed subsystems
+        seed = rng.sample(rs.roots, min(len(rs.roots), rng.randint(1, 3)))
+        subsets.append(reflection_closure(rs, seed))
+        # integral root sets of rational parameters
+        lam = Parameter.of([Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rs.rank)])
+        subsets.append(integral_roots(rs, lam, rng.choice((1, 2))))
+    for subset in subsets:
+        assert component_split(rs, subset) == _union_find_split(rs, subset), subset
 
 
 @pytest.mark.parametrize(
