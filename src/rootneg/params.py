@@ -1,7 +1,9 @@
 """Integrality data of a parameter: integral roots, move classes,
 chamber galleries, and the edge subspace.  A gallery holds one chamber per
 coset of W(Sigma), Sigma the integral roots, so chamber_count is the index
-|W : W(Sigma)| and no element of W is enumerated.
+|W : W(Sigma)| and no element of W is enumerated.  A move class is read off
+the gallery at the same denominator, one member per chamber, so one integer
+walk over chambers serves both and no search runs over parameters.
 
 Throughout, "the pairing is in (1/N)Z" means: the imaginary part vanishes and
 N times the real part is an integer.  This is the only reading under which
@@ -24,9 +26,7 @@ from .rootsys import (
     act_by_inverse,
     descent_word,
     identity_weyl,
-    pairing,
     root_coords_of,
-    simple_reflection,
     weyl_order,
 )
 from .subsystems import subsystem_spec
@@ -73,8 +73,9 @@ def full_space(rs: RootSystem) -> SubspaceBasis:
 class ParameterClass:
     """All parameters reachable from base by admissible reflection moves.
 
-    members are (w, mu) pairs with mu = w(base), each w a first witness in
-    breadth-first order; base itself appears with w = identity.
+    members are (w, mu) pairs with mu = w(base), sorted by mu; each w is the
+    unique witness whose inverse lies in gallery_class(base, denominator),
+    and base itself appears with w = identity.
     """
 
     members: tuple[tuple[WeylElement, Parameter], ...]
@@ -119,52 +120,32 @@ def integral_roots(rs: RootSystem, lam: Parameter, denominator: int = 1) -> tupl
 
 
 def equivalence_class(rs: RootSystem, lam: Parameter, denominator: int = 1) -> ParameterClass:
-    """Breadth-first closure of lam under admissible simple-reflection moves.
+    """Parameters reachable from lam by admissible simple-reflection moves.
 
-    A move at the i-th simple root is admissible for mu when mu's pairing
-    with that coroot is NOT in (1/denominator)Z; the reflected parameter is
-    then equivalent to mu.  Any nonzero imaginary part makes the pairing
-    non-integral.
+    The move at the i-th simple root is admissible for mu = w(lam) when mu's
+    pairing with that coroot, i.e. lam's with the coroot of u(alpha_i) for
+    u = w^{-1}, is NOT in (1/denominator)Z: it is the gallery step from u to
+    u s_i.  The stabiliser of lam is generated by reflections in roots that
+    pair to 0 (Steinberg), all integral, so each chamber gives its own member.
     """
-    gens = [simple_reflection(rs, i) for i in range(rs.rank)]
-    ident = identity_weyl(rs)
-    members: dict[Parameter, WeylElement] = {lam: ident}
-    frontier = [lam]
-    while frontier:
-        frontier.sort(key=_parameter_sort_key)
-        nxt = []
-        for mu in frontier:
-            w_mu = members[mu]
-            for i in range(rs.rank):
-                re, im = pairing(rs, mu, rs.simple_roots[i])
-                if value_in_fraction_of_z(re, im, denominator):
-                    continue
-                # s_i is its own inverse
-                nu = act_by_inverse(rs, gens[i], mu)
-                if nu not in members:
-                    members[nu] = gens[i].compose(w_mu)
-                    nxt.append(nu)
-        frontier = nxt
-    ordered = tuple(
-        (members[mu], mu) for mu in sorted(members, key=_parameter_sort_key)
+    members = sorted(
+        ((u.inverse(rs), act_by_inverse(rs, u, lam)) for u in gallery_class(rs, lam, denominator)),
+        key=lambda member: (member[1].re, member[1].im),
     )
-    return ParameterClass(ordered, lam, denominator)
+    return ParameterClass(tuple(members), lam, denominator)
 
 
-def _parameter_sort_key(p: Parameter) -> tuple:
-    return (p.re, p.im)
-
-
-def gallery_class(rs: RootSystem, lam: Parameter) -> tuple[WeylElement, ...]:
-    """Chambers u(C) reachable from C crossing only walls of non-integral
-    roots, as the elements u ordered by (length, images).
+def gallery_class(rs: RootSystem, lam: Parameter, denominator: int = 1) -> tuple[WeylElement, ...]:
+    """Chambers u(C) reachable from C crossing only walls of roots outside
+    integral_roots(rs, lam, denominator), as the elements u ordered by
+    (length, images).
 
     Stepping from u(C) to u s_i(C) crosses the wall of u(alpha_i); the step
     is allowed iff that (indivisible) root is outside the integral root set.
     Breadth-first level k is the chambers of length k, since a minimal
     gallery between two chambers of the cone crosses none of its walls.
     """
-    sigma = frozenset(integral_roots(rs, lam, 1))
+    sigma = frozenset(integral_roots(rs, lam, denominator))
     level = [identity_weyl(rs)]
     seen = {level[0].images}
     out: list[WeylElement] = []

@@ -2,10 +2,12 @@
 
 Roots are integer coordinate tuples over the simple roots; the Gram and
 Cartan matrices are integer.  Weyl group elements are stored by their images
-of the simple roots, so composing, inverting and acting on roots is integer
-row arithmetic.  Parameters are complex rational values on the simple
-coroots (coordinates over the fundamental weights); w acts on one by
-(w lam)_j = lam(w^{-1}(alpha_j)-coroot), an integer sum over a denominator.
+of the simple roots, so multiplying by a simple reflection on the right,
+inverting and acting on roots is integer row arithmetic; every walk over W
+(the group itself, a chamber gallery) is a chain of such steps.  Parameters
+are complex rational values on the simple coroots (coordinates over the
+fundamental weights); w acts on one by (w lam)_j = lam(w^{-1}(alpha_j)-coroot),
+an integer sum over a denominator.
 
 Scaling convention: in every reduced irreducible component the short roots
 have squared length 2; in a non-reduced component the shortest roots have
@@ -440,10 +442,6 @@ class WeylElement:
                     out[k] += b * img[k]
         return tuple(out)
 
-    def compose(self, other: "WeylElement") -> "WeylElement":
-        """self applied after other."""
-        return WeylElement(tuple(self.apply_root(img) for img in other.images))
-
     def times_simple(self, rs: RootSystem, i: int) -> "WeylElement":
         """self s_i: image j drops <alpha_j, alpha_i-coroot> times image i."""
         img_i = self.images[i]
@@ -462,17 +460,6 @@ class WeylElement:
 
 def identity_weyl(rs: RootSystem) -> WeylElement:
     return WeylElement(rs.simple_roots)
-
-
-def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
-    if not 0 <= i < rs.rank:
-        raise ValueError(f"simple root index {i} out of range")
-    images = []
-    for j in range(rs.rank):
-        img = list(rs.simple_roots[j])
-        img[i] -= rs.cartan[i][j]
-        images.append(tuple(img))
-    return WeylElement(tuple(images))
 
 
 def descent_word(rs: RootSystem, w: WeylElement) -> tuple[int, ...]:

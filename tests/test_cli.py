@@ -289,6 +289,27 @@ def test_chamber_count_only_above_the_weyl_order_limit(capsys, monkeypatch, argv
     assert (code, err) == (0, "")
 
 
+_MOVE_CLASS_OPS = (
+    ("class", "--type", "F4", "--re", "1/2,1/3,1,1/4", "--denominator", "2"),
+    ("negativity", "--type", "F4", "--re", "1,1/2,1/2,-1", "--mode", "strict", "--denominator", "2"),
+    ("fundamental", "--type", "F4", "--re", "1/2,1,1/3,1/2", "--mode", "weak"),
+    ("class", "--type", "BC3", "--re", "1/2,1/3,1", "--im", "0,1/2,0"),
+    ("negativity", "--type", "BC3", "--re", "1/2,-1,1/3", "--mode", "weak"),
+    ("fundamental", "--type", "BC3", "--re", "1/3,-1/2,1", "--mode", "integral", "--denominator", "3"),
+)
+
+
+@pytest.mark.parametrize("argv", _MOVE_CLASS_OPS,
+                         ids=[f"{a[0]}-{a[2]}" for a in _MOVE_CLASS_OPS])
+def test_parameter_commands_use_no_oracle(capsys, monkeypatch, argv):
+    # the move class comes from the gallery walk, never from the move search
+    # or the Weyl group scan that verify checks it against
+    _forbid(monkeypatch, "move_class", "c_lambda", "weyl_group")
+    code, out, err = invoke(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["type"] == argv[2]
+
+
 @pytest.mark.parametrize(
     "type_name, re, count",
     [

@@ -21,8 +21,11 @@ from rootneg.params import (
 )
 from rootneg.rootsys import (
     Parameter,
+    WeylElement,
     act,
+    act_by_inverse,
     build_root_system,
+    identity_weyl,
     pairing,
     rho,
     weyl_group,
@@ -30,7 +33,7 @@ from rootneg.rootsys import (
 from rootneg.subsystems import subsystem_label
 from rootneg.verification import c_lambda
 from test_linalg import fraction_rref
-from test_rootsys import weyl_length
+from test_rootsys import reflection_in, weyl_length
 
 
 def test_value_in_fraction_of_z():
@@ -194,15 +197,13 @@ def test_subspace_basis_validation():
 
 
 def test_reduced_word_round_trip():
-    from rootneg.rootsys import identity_weyl, simple_reflection
-
     rs = build_root_system("B2")
     for w in weyl_group(rs):
         word = reduced_word(rs, w)
         assert len(word) == weyl_length(rs, w)
         rebuilt = identity_weyl(rs)
         for i in word:
-            rebuilt = rebuilt.compose(simple_reflection(rs, i - 1))
+            rebuilt = rebuilt.times_simple(rs, i - 1)
         assert rebuilt == w
 
 
@@ -222,10 +223,50 @@ def test_move_class_respects_integral_walls():
                 for i, alpha in enumerate(rs.simple_roots):
                     re, im = pairing(rs, mu, alpha)
                     if not value_in_fraction_of_z(re, im, 1):
-                        from rootneg.rootsys import simple_reflection
-
-                        flipped = act(rs, simple_reflection(rs, i), mu)
+                        flipped = act(rs, identity_weyl(rs).times_simple(rs, i), mu)
                         assert flipped in members
+
+
+def breadth_first_class(rs, lam, denominator):
+    """The move class by breadth-first search over parameters, each member
+    with the first witness found: frontiers in parameter order, moves in
+    simple-root order, and a move at i turns the witness w into s_i w."""
+    gens = [reflection_in(rs, alpha) for alpha in rs.simple_roots]
+    members = {lam: identity_weyl(rs)}
+    frontier = [lam]
+    while frontier:
+        frontier.sort(key=lambda p: (p.re, p.im))
+        nxt = []
+        for mu in frontier:
+            w_mu = members[mu]
+            for i, alpha in enumerate(rs.simple_roots):
+                if value_in_fraction_of_z(*pairing(rs, mu, alpha), denominator):
+                    continue
+                nu = act_by_inverse(rs, gens[i], mu)
+                if nu not in members:
+                    members[nu] = WeylElement(tuple(rs.reflect(alpha, img) for img in w_mu.images))
+                    nxt.append(nu)
+        frontier = nxt
+    return [(members[mu].images, mu) for mu in sorted(members, key=lambda p: (p.re, p.im))]
+
+
+@pytest.mark.parametrize("name", [
+    "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "F4", "G2",
+    "BC1", "BC2", "BC3", "B2xG2",
+])
+def test_equivalence_class_matches_breadth_first_search(name):
+    """Members, witnesses and their order equal the search over parameters."""
+    rs = build_root_system(name)
+    rng = random.Random(f"move_class/{name}")
+    for k in range(3 if rs.rank == 4 else 6):
+        lam = Parameter(
+            tuple(Q(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6))) for _ in range(rs.rank)),
+            tuple(Q(rng.randint(-1, 1), 2) if k % 3 == 2 else Q(0) for _ in range(rs.rank)),
+        )
+        for denominator in (1, 2, 3, 6):
+            cls = equivalence_class(rs, lam, denominator)
+            got = [(w.images, mu) for w, mu in cls.members]
+            assert got == breadth_first_class(rs, lam, denominator), (name, lam, denominator)
 
 
 def _interior_point_cone(rs, lam):

@@ -21,7 +21,6 @@ from rootneg.rootsys import (
     parameter_from_root_coords,
     rho,
     root_coords_of,
-    simple_reflection,
     weyl_group,
     weyl_order,
 )
@@ -34,6 +33,16 @@ def weyl_length(rs, w):
         1 for beta in rs.positive_roots
         if rs.half_of(beta) is None and sum(w.apply_root(beta)) < 0
     )
+
+
+def compose(u, v):
+    """u applied after v, image by image: the reference product of W."""
+    return WeylElement(tuple(u.apply_root(img) for img in v.images))
+
+
+def reflection_in(rs, alpha):
+    """The reflection in the wall of alpha, by its images of the simple roots."""
+    return WeylElement(tuple(rs.reflect(alpha, a) for a in rs.simple_roots))
 
 
 # (type, positive root count, Weyl order)
@@ -202,10 +211,12 @@ def test_weyl_group_capacity_guard():
 
 def test_simple_reflection_images():
     rs = build_root_system("G2")
-    s0 = simple_reflection(rs, 0)
+    s0 = identity_weyl(rs).times_simple(rs, 0)
     assert s0.apply_root((1, 0)) == (-1, 0)
     assert s0.apply_root((0, 1)) == (1, 1)
-    assert s0.compose(s0) == identity_weyl(rs)
+    assert s0 == reflection_in(rs, rs.simple_roots[0])
+    assert s0.times_simple(rs, 0) == identity_weyl(rs)
+    assert compose(s0, s0) == identity_weyl(rs)
 
 
 def test_weyl_action_is_a_group_action():
@@ -220,16 +231,16 @@ def test_weyl_action_is_a_group_action():
                 tuple(Q(rng.randint(-3, 3), 2) for _ in range(rs.rank)),
                 tuple(Q(rng.randint(-3, 3), 3) for _ in range(rs.rank)),
             )
-            assert act(rs, u.compose(v), lam) == act(rs, u, act(rs, v, lam))
+            assert act(rs, compose(u, v), lam) == act(rs, u, act(rs, v, lam))
             beta = rng.choice(rs.roots)
-            assert u.compose(v).apply_root(beta) == u.apply_root(v.apply_root(beta))
+            assert compose(u, v).apply_root(beta) == u.apply_root(v.apply_root(beta))
 
 
 def test_weyl_inverse():
     rs = build_root_system("B2")
     for w in weyl_group(rs):
-        assert w.compose(w.inverse(rs)) == identity_weyl(rs)
-        assert w.inverse(rs).compose(w) == identity_weyl(rs)
+        assert compose(w, w.inverse(rs)) == identity_weyl(rs)
+        assert compose(w.inverse(rs), w) == identity_weyl(rs)
 
 
 def test_act_compatible_with_pairing():
@@ -323,17 +334,17 @@ def test_act_matches_fraction_oracle(name):
         assert act(rs, w, lam) == _oracle_act(rs, w, lam)
     # and on the reflection in every root
     for alpha in rs.roots:
-        s_alpha = WeylElement(tuple(rs.reflect(alpha, a) for a in rs.simple_roots))
+        s_alpha = reflection_in(rs, alpha)
         assert act(rs, s_alpha, lam) == _oracle_act(rs, s_alpha, lam)
 
 
 def _closure_by_composition(rs):
     """W as the closure of the identity under composition with simple reflections."""
-    gens = [simple_reflection(rs, i) for i in range(rs.rank)]
+    gens = [reflection_in(rs, alpha) for alpha in rs.simple_roots]
     seen = {identity_weyl(rs)}
     frontier = set(seen)
     while frontier:
-        frontier = {g.compose(w) for w in frontier for g in gens} - seen
+        frontier = {compose(g, w) for w in frontier for g in gens} - seen
         seen |= frontier
     return seen
 
@@ -356,8 +367,8 @@ def test_integer_inverse_on_all_of_f4():
     rs = build_root_system("F4")
     for w in weyl_group(rs):
         inv = w.inverse(rs)
-        assert w.compose(inv) == identity_weyl(rs)
-        assert inv.compose(w) == identity_weyl(rs)
+        assert compose(w, inv) == identity_weyl(rs)
+        assert compose(inv, w) == identity_weyl(rs)
         assert weyl_length(rs, inv) == weyl_length(rs, w)
 
 

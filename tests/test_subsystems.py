@@ -9,7 +9,7 @@ import pytest
 
 from rootneg import subsystems
 from rootneg.params import integral_roots
-from rootneg.rootsys import Parameter, build_root_system, simple_reflection, weyl_group
+from rootneg.rootsys import Parameter, build_root_system, identity_weyl, weyl_group
 from rootneg.subsystems import (
     BRUTE_FORCE_MAX_RANK,
     _brute_force_sets,
@@ -426,7 +426,7 @@ def test_conjugacy_key_partitions_like_the_weyl_orbit(name):
     else:
         # images under the simple reflections, so that most classes hold
         # several distinct sets
-        gens = [simple_reflection(rs, i) for i in range(rs.rank)]
+        gens = [identity_weyl(rs).times_simple(rs, i) for i in range(rs.rank)]
         sets = reached | {frozenset(w.apply_root(b) for b in s) for s in reached for w in gens}
     oracle = _partition(sets, lambda s: _orbit_key(rs, s))
     assert _partition(sets, lambda s: _conjugacy_key(rs, s)) == oracle
