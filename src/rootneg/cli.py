@@ -181,6 +181,15 @@ def _load_nsigma_cache(path: str) -> dict:
     return cache
 
 
+def _is_nsigma_entry(entry) -> bool:
+    """Whether a cache entry has the shape _cmd_nsigma writes."""
+    rows = entry.get("subsystems") if isinstance(entry, dict) else None
+    return isinstance(rows, list) and isinstance(entry.get("n_sigma"), str) and all(
+        isinstance(r, dict) and set(r) == {"label", "n"}
+        and all(isinstance(v, str) for v in r.values()) for r in rows
+    )
+
+
 def _store_nsigma_cache(path: str, cache: dict) -> None:
     """Write the cache to a temporary file, then move it over path in one step,
     so a reader never sees a partial file; a failed write is noted on stderr."""
@@ -207,6 +216,9 @@ def _cmd_nsigma(args) -> tuple[JsonDoc, int]:
         path = os.path.join(args.cache_dir, "nsigma.json")
         cache = _load_nsigma_cache(path)
         entry = cache.get(key)
+        if entry is not None and not _is_nsigma_entry(entry):
+            print(f"rootneg: ignoring malformed cache entry {key} in {path}", file=sys.stderr)
+            entry = None
     if entry is None:
         classes = [(s.label, math.lcm(1, *d)) for s, d in census(rs, args.method)]
         entry = {
@@ -247,7 +259,8 @@ def _cmd_class(args) -> tuple[JsonDoc, int]:
     n = _denominator(args)
     _check_chambers(rs, lam)
     cls = equivalence_class(rs, lam, n)
-    gallery = gallery_class(rs, lam)
+    # at denominator 1 the class has one member per gallery chamber
+    gallery_size = len(cls.members) if n == 1 else len(gallery_class(rs, lam))
     e = edge(rs, lam, n)
     doc = {
         "type": str(rs.spec),
@@ -258,7 +271,7 @@ def _cmd_class(args) -> tuple[JsonDoc, int]:
             {"word": _word(rs, w), "re": _q_list(mu.re), "im": _q_list(mu.im)}
             for w, mu in cls.members
         ],
-        "gallery_size": len(gallery),
+        "gallery_size": gallery_size,
         "chamber_count": chamber_count(rs, lam),
         "edge_dim": e.dim,
         "edge_basis": _q_rows(e.vectors),

@@ -25,9 +25,9 @@ from .lattice import hermite_row_basis, lattice_index
 from .linalg import Vec
 from .params import (
     SubspaceBasis,
+    chamber_walk,
     equivalence_class,
     full_space,
-    gallery_class,
     integral_roots,
 )
 from .rootsys import (
@@ -38,7 +38,6 @@ from .rootsys import (
     WeylElement,
     _cartan_from_gram,
     _component_gram,
-    act_by_inverse,
     pairing,
     root_coords_of,
 )
@@ -309,14 +308,14 @@ def verify_fundamental_lemma(
 
     assigned = full_space(rs) if mode == "strict" or subspaces is None else subspaces
     containing: Optional[tuple[WeylElement, SubspaceBasis]] = None
-    for u in gallery_class(rs, lam):
-        # w = u^{-1}: w lam and w(X)_j = (u alpha_j)(X) read u directly.
-        a_mu = _subspace_for(assigned, act_by_inverse(rs, u, lam))
+    for c in chamber_walk(rs, lam):
+        # w(X)_j = (u alpha_j)(X) for w = u^{-1}, read off u's images.
+        a_mu = _subspace_for(assigned, c.mu)
         if all(
-            a_mu.contains(tuple(linalg.dot(img, v) for img in u.images))
+            a_mu.contains(tuple(linalg.dot(img, v) for img in c.u.images))
             for v in edge_basis.vectors
         ):
-            containing = (u.inverse(rs), a_mu)
+            containing = (c.w, a_mu)
             break
 
     re_c, im_c = root_coords_of(rs, lam)

@@ -2,8 +2,9 @@
 chamber galleries, and the edge subspace.  A gallery holds one chamber per
 coset of W(Sigma), Sigma the integral roots, so chamber_count is the index
 |W : W(Sigma)| and no element of W is enumerated.  A move class is read off
-the gallery at the same denominator, one member per chamber, so one integer
-walk over chambers serves both and no search runs over parameters.
+the gallery at the same denominator, one member per chamber: one integer walk
+carries each chamber's witness w and member mu = w(lam), its step test reads
+mu's own coordinate, and no search runs over parameters.
 
 Throughout, "the pairing is in (1/N)Z" means: the imaginary part vanishes and
 N times the real part is an integer.  This is the only reading under which
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from typing import NamedTuple
 
 from . import linalg
 from .linalg import Vec
@@ -23,7 +25,6 @@ from .rootsys import (
     Root,
     RootSystem,
     WeylElement,
-    act_by_inverse,
     descent_word,
     identity_weyl,
     root_coords_of,
@@ -94,6 +95,13 @@ def value_in_fraction_of_z(re: Q, im: Q, denominator: int = 1) -> bool:
     return im == 0 and (denominator * re).denominator == 1
 
 
+def _check_inputs(rs: RootSystem, lam: Parameter, denominator: int) -> None:
+    if denominator < 1:
+        raise ValueError("denominator must be a positive integer")
+    if lam.rank != rs.rank:
+        raise ValueError("parameter rank does not match root system rank")
+
+
 def integral_roots(rs: RootSystem, lam: Parameter, denominator: int = 1) -> tuple[Root, ...]:
     """Roots whose coroot pairing with lam lies in (1/denominator)Z, sorted.
 
@@ -101,10 +109,7 @@ def integral_roots(rs: RootSystem, lam: Parameter, denominator: int = 1) -> tupl
     sums of rootsys.pairing: the pairing is re_sum / (d (beta, beta)) plus
     i im_sum / (d (beta, beta)), d the common denominator of lam.
     """
-    if denominator < 1:
-        raise ValueError("denominator must be a positive integer")
-    if lam.rank != rs.rank:
-        raise ValueError("parameter rank does not match root system rank")
+    _check_inputs(rs, lam, denominator)
     d, re, im = lam._scaled
     diag = [rs.gram[j][j] for j in range(rs.rank)]
     out = []
@@ -119,49 +124,72 @@ def integral_roots(rs: RootSystem, lam: Parameter, denominator: int = 1) -> tupl
     return tuple(sorted(out))
 
 
-def equivalence_class(rs: RootSystem, lam: Parameter, denominator: int = 1) -> ParameterClass:
-    """Parameters reachable from lam by admissible simple-reflection moves.
+class Chamber(NamedTuple):
+    """A chamber u(C) of chamber_walk, its witness w = u^{-1}, and the member
+    mu = w(lam) as d Re(mu) and d Im(mu), d the common denominator of lam."""
 
-    The move at the i-th simple root is admissible for mu = w(lam) when mu's
-    pairing with that coroot, i.e. lam's with the coroot of u(alpha_i) for
-    u = w^{-1}, is NOT in (1/denominator)Z: it is the gallery step from u to
-    u s_i.  The stabiliser of lam is generated by reflections in roots that
-    pair to 0 (Steinberg), all integral, so each chamber gives its own member.
-    """
-    members = sorted(
-        ((u.inverse(rs), act_by_inverse(rs, u, lam)) for u in gallery_class(rs, lam, denominator)),
-        key=lambda member: (member[1].re, member[1].im),
-    )
-    return ParameterClass(tuple(members), lam, denominator)
+    u: WeylElement
+    w: WeylElement
+    d: int
+    re: tuple[int, ...]
+    im: tuple[int, ...]
+
+    @property
+    def mu(self) -> Parameter:
+        d = self.d
+        return Parameter(tuple(Q(x, d) for x in self.re), tuple(Q(x, d) for x in self.im))
 
 
-def gallery_class(rs: RootSystem, lam: Parameter, denominator: int = 1) -> tuple[WeylElement, ...]:
+def chamber_walk(rs: RootSystem, lam: Parameter, denominator: int = 1) -> tuple[Chamber, ...]:
     """Chambers u(C) reachable from C crossing only walls of roots outside
-    integral_roots(rs, lam, denominator), as the elements u ordered by
-    (length, images).
+    integral_roots(rs, lam, denominator), ordered by (length, images of u).
 
-    Stepping from u(C) to u s_i(C) crosses the wall of u(alpha_i); the step
-    is allowed iff that (indivisible) root is outside the integral root set.
-    Breadth-first level k is the chambers of length k, since a minimal
-    gallery between two chambers of the cone crosses none of its walls.
+    The step from u(C) to u s_i(C) crosses the wall of u(alpha_i), on whose
+    coroot lam takes the value mu_i; it is allowed iff mu_i is outside
+    (1/denominator)Z.  It sets w to s_i w and mu to s_i(mu), whose j-th entry
+    is mu_j - cartan[j][i] mu_i.  Breadth-first level k is the chambers of
+    length k: a minimal gallery inside the cone crosses none of its walls.
     """
-    sigma = frozenset(integral_roots(rs, lam, denominator))
-    level = [identity_weyl(rs)]
-    seen = {level[0].images}
-    out: list[WeylElement] = []
+    _check_inputs(rs, lam, denominator)
+    d, re, im = lam._scaled
+    columns = tuple(zip(*rs.cartan))
+    e = identity_weyl(rs)
+    level = [Chamber(e, e, d, re, im)]
+    seen = {e.images}
+    out: list[Chamber] = []
     while level:
         out.extend(level)
         nxt = []
-        for u in level:
-            for i in range(rs.rank):
-                if u.images[i] in sigma:
+        for c in level:
+            for i, (alpha, col) in enumerate(zip(rs.simple_roots, columns)):
+                re_i, im_i = c.re[i], c.im[i]
+                if not im_i and denominator * re_i % d == 0:
                     continue
-                v = u.times_simple(rs, i)
-                if v.images not in seen:
-                    seen.add(v.images)
-                    nxt.append(v)
-        level = sorted(nxt)
+                u = c.u.times_simple(rs, i)
+                if u.images not in seen:
+                    seen.add(u.images)
+                    w = WeylElement(tuple(rs.reflect(alpha, img) for img in c.w.images))
+                    nxt.append(Chamber(u, w, d, tuple(x - a * re_i for x, a in zip(c.re, col)),
+                                       tuple(x - a * im_i for x, a in zip(c.im, col))))
+        level = sorted(nxt, key=lambda c: c.u.images)
     return tuple(out)
+
+
+def equivalence_class(rs: RootSystem, lam: Parameter, denominator: int = 1) -> ParameterClass:
+    """Parameters reachable from lam by admissible simple-reflection moves.
+
+    The move s_i from mu = w(lam) is admissible iff mu_i is outside
+    (1/denominator)Z, so it is the chamber_walk step from u = w^{-1} to u s_i.
+    The stabiliser of lam is generated by reflections in roots that pair to 0
+    (Steinberg), all integral, so each chamber gives its own member.
+    """
+    walk = sorted(chamber_walk(rs, lam, denominator), key=lambda c: (c.re, c.im))
+    return ParameterClass(tuple((c.w, c.mu) for c in walk), lam, denominator)
+
+
+def gallery_class(rs: RootSystem, lam: Parameter, denominator: int = 1) -> tuple[WeylElement, ...]:
+    """The elements u of chamber_walk, in (length, images) order."""
+    return tuple(c.u for c in chamber_walk(rs, lam, denominator))
 
 
 def chamber_count(rs: RootSystem, lam: Parameter) -> int:

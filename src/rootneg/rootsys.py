@@ -2,12 +2,12 @@
 
 Roots are integer coordinate tuples over the simple roots; the Gram and
 Cartan matrices are integer.  Weyl group elements are stored by their images
-of the simple roots, so multiplying by a simple reflection on the right,
-inverting and acting on roots is integer row arithmetic; every walk over W
-(the group itself, a chamber gallery) is a chain of such steps.  Parameters
-are complex rational values on the simple coroots (coordinates over the
-fundamental weights); w acts on one by (w lam)_j = lam(w^{-1}(alpha_j)-coroot),
-an integer sum over a denominator.
+of the simple roots, so multiplying by a simple reflection on the right and
+acting on roots is integer row arithmetic; every walk over W (the group
+itself, a chamber gallery) is a chain of such steps.  Parameters are complex
+rational values on the simple coroots (coordinates over the fundamental
+weights); w acts on one through its coordinates over the simple roots, which
+w moves as it moves any vector of the root span.
 
 Scaling convention: in every reduced irreducible component the short roots
 have squared length 2; in a non-reduced component the shortest roots have
@@ -365,10 +365,6 @@ class Parameter:
         return (d, tuple(x.numerator * (d // x.denominator) for x in self.re),
                 tuple(x.numerator * (d // x.denominator) for x in self.im))
 
-    def scale(self, c) -> "Parameter":
-        c = Q(c)
-        return Parameter(tuple(c * x for x in self.re), tuple(c * x for x in self.im))
-
 
 def pairing(rs: RootSystem, lam: Parameter, beta: Root) -> tuple[Q, Q]:
     """lam evaluated on the coroot of beta, as (real, imaginary) parts.
@@ -378,32 +374,28 @@ def pairing(rs: RootSystem, lam: Parameter, beta: Root) -> tuple[Q, Q]:
     """
     if lam.rank != rs.rank:
         raise ValueError("parameter rank does not match root system rank")
-    return _on_coroot(rs, tuple(beta), lam)
-
-
-def _on_coroot(rs: RootSystem, beta: Root, lam: Parameter) -> tuple[Q, Q]:
-    """pairing without the rank check, as one integer sum over lam's denominator."""
     d, re, im = lam._scaled
-    d *= rs._len_sq[beta]
+    d *= rs._len_sq[tuple(beta)]
     coeffs = [b * g for b, g in zip(beta, rs._diag)]
     return (Q(sum(c * x for c, x in zip(coeffs, re)), d),
             Q(sum(c * x for c, x in zip(coeffs, im)), d))
 
 
 def root_coords_of(rs: RootSystem, lam: Parameter) -> tuple[Vec, Vec]:
-    """Coordinates of lam over the simple roots (real and imaginary parts).
+    """Coordinates of lam over the simple roots (real and imaginary parts)."""
+    d, re, im = _scaled_root_coords(rs, lam)
+    return tuple(Q(x, d) for x in re), tuple(Q(x, d) for x in im)
 
-    Each is the integer inverse Cartan matrix times lam's scaled entries,
-    over the product of the two common denominators.
-    """
+
+def _scaled_root_coords(rs: RootSystem, lam: Parameter) -> tuple[int, Root, Root]:
+    """d and d times root_coords_of(lam): the integer inverse Cartan matrix
+    times lam's scaled entries, d the product of the two denominators."""
     if lam.rank != rs.rank:
         raise ValueError("dimension mismatch")
     d, re, im = lam._scaled
-    d *= rs._cartan_inv_den
-    return (
-        tuple(Q(sum(a * x for a, x in zip(row, re)), d) for row in rs._cartan_inv),
-        tuple(Q(sum(a * x for a, x in zip(row, im)), d) for row in rs._cartan_inv),
-    )
+    return (d * rs._cartan_inv_den,
+            tuple(sum(a * x for a, x in zip(row, re)) for row in rs._cartan_inv),
+            tuple(sum(a * x for a, x in zip(row, im)) for row in rs._cartan_inv))
 
 
 def parameter_from_root_coords(rs: RootSystem, re_c: Vec, im_c: Vec) -> Parameter:
@@ -429,10 +421,6 @@ class WeylElement:
 
     images: tuple[Root, ...]
 
-    @property
-    def rank(self) -> int:
-        return len(self.images)
-
     def apply_root(self, beta: Root) -> Root:
         out = [0] * len(self.images[0])
         for j, b in enumerate(beta):
@@ -449,13 +437,6 @@ class WeylElement:
             tuple(x - c * y for x, y in zip(img, img_i)) if c else img
             for img, c in zip(self.images, rs.cartan[i])
         ))
-
-    def inverse(self, rs: RootSystem) -> "WeylElement":
-        """w^{-1} = s_a s_b ... for the descent word (a, b, ...) of w."""
-        inv = identity_weyl(rs)
-        for i in descent_word(rs, self):
-            inv = inv.times_simple(rs, i)
-        return inv
 
 
 def identity_weyl(rs: RootSystem) -> WeylElement:
@@ -543,21 +524,11 @@ def weyl_group(rs: RootSystem) -> tuple[WeylElement, ...]:
 
 
 def act(rs: RootSystem, w: WeylElement, x: Union[Root, Parameter]):
-    """Apply a Weyl element to a root or to a Parameter.
-
-    On a parameter, (w lam)_j = lam(w^{-1}(alpha_j)-coroot).
-    """
+    """Apply a Weyl element to a root or to a Parameter, which moves as its
+    coordinates over the simple roots do (in integers over one denominator)."""
     if isinstance(x, Parameter):
-        return act_by_inverse(rs, w.inverse(rs), x)
+        d, re, im = _scaled_root_coords(rs, x)
+        moved = (w.apply_root(re), w.apply_root(im))
+        return Parameter(*(tuple(Q(sum(a * y for a, y in zip(row, v)), d) for row in rs.cartan)
+                           for v in moved))
     return w.apply_root(tuple(x))
-
-
-def act_by_inverse(rs: RootSystem, v: WeylElement, lam: Parameter) -> Parameter:
-    """The parameter w lam for w = v^{-1}, read off v's images.
-
-    (w lam)_j = lam(v(alpha_j)-coroot), so a caller that holds v saves
-    inverting w.
-    """
-    if lam.rank != rs.rank:
-        raise ValueError("parameter rank does not match root system rank")
-    return Parameter(*zip(*(_on_coroot(rs, b, lam) for b in v.images)))

@@ -37,7 +37,6 @@ from .rootsys import (
     RootSystem,
     WeylElement,
     act,
-    act_by_inverse,
     build_root_system,
     dual,
     identity_weyl,
@@ -131,19 +130,15 @@ def c_lambda(rs: RootSystem, lam: Parameter) -> tuple[WeylElement, ...]:
     On w(C), alpha takes the signs that w^{-1}(alpha) takes on C, and a root
     is positive on C exactly when it is a positive root.  So w(C) lies in the
     cone exactly when w^{-1} maps every positive integral root to a positive
-    root.
+    root, that is when w sends no positive root to a negative integral root.
     """
-    sigma_pos = [b for b in integral_roots(rs, lam, 1) if sum(b) > 0]
+    sigma_neg = frozenset(b for b in integral_roots(rs, lam, 1) if sum(b) < 0)
     out = []
     for w in weyl_group(rs):
-        v = w.inverse(rs)
-        for alpha in sigma_pos:
-            image = v.apply_root(alpha)
-            if not rs.contains(image):
-                raise AssertionError("a Weyl element sent a root off the root system")
-            if sum(image) < 0:
-                break
-        else:
+        images = [w.apply_root(beta) for beta in rs.positive_roots]
+        if not all(map(rs.contains, images)):
+            raise AssertionError("a Weyl element sent a root off the root system")
+        if sigma_neg.isdisjoint(images):
             out.append(w)
     return tuple(out)
 
@@ -176,7 +171,7 @@ def move_class(rs: RootSystem, lam: Parameter, denominator: int = 1) -> frozense
             for i, s_i in enumerate(gens):
                 if value_in_fraction_of_z(*pairing(rs, mu, rs.simple_roots[i]), denominator):
                     continue
-                nu = act_by_inverse(rs, s_i, mu)
+                nu = act(rs, s_i, mu)
                 if nu not in seen:
                     seen.add(nu)
                     nxt.append(nu)
@@ -389,6 +384,13 @@ def check_simplex_against_elimination(
     return _sweep("strict_feasibility_matches_elimination", types, check)
 
 
+def _witness_values(rs: RootSystem, lam: Parameter, verdict) -> list[Q]:
+    """Re(lam) - omega at each fundamental coweight, for a feasible verdict."""
+    re_c, _ = root_coords_of(rs, lam)
+    omega = tuple(zip(verdict.witness_omega, verdict.span_basis))
+    return [re_c[i] - sum(y * beta[i] for y, beta in omega) for i in range(rs.rank)]
+
+
 def check_witness_point_sampling(
     types: Sequence[str] = ("A1", "A2", "B2", "G2"),
     points_per_case: int = 5,
@@ -406,15 +408,7 @@ def check_witness_point_sampling(
             if not verdict.feasible:
                 continue
             checked += 1
-            assert verdict.witness_omega is not None
-            generator_values = []
-            re_c, _ = root_coords_of(rs, lam)
-            for i in range(rs.rank):
-                value = re_c[i] - sum(
-                    y * beta[i]
-                    for y, beta in zip(verdict.witness_omega, verdict.span_basis)
-                )
-                generator_values.append(value)
+            generator_values = _witness_values(rs, lam, verdict)
             for _ in range(points_per_case):
                 weights = [Q(rng.randint(0, 9), rng.randint(1, 4)) for _ in range(rs.rank)]
                 if all(w == 0 for w in weights):
@@ -432,15 +426,7 @@ def check_witness_point_sampling(
         lam = Parameter.of([-1, -1])
         verdict = check_negativity(rs, NegativityQuery(lam, "strict"))
         assert verdict.feasible and verdict.witness_omega is not None
-        re_c, _ = root_coords_of(rs, lam)
-        values = [
-            re_c[i]
-            - sum(
-                y * beta[i]
-                for y, beta in zip(verdict.witness_omega, verdict.span_basis)
-            )
-            for i in range(rs.rank)
-        ]
+        values = _witness_values(rs, lam, verdict)
         while sampled < min_total_points:
             weights = [Q(rng.randint(0, 9), rng.randint(1, 4)) for _ in range(rs.rank)]
             if all(w == 0 for w in weights):

@@ -14,7 +14,7 @@ import time
 from fractions import Fraction as Q
 
 from rootneg.negativity import certify_exponent, rank_one_bound, verify_fundamental_lemma
-from rootneg.rootsys import build_root_system, rho
+from rootneg.rootsys import build_root_system
 from rootneg.subsystems import full_rank_subsystems, n_of_subsystem, n_sigma
 from rootneg.verification import (
     check_chamber_gallery_agreement,
@@ -27,6 +27,7 @@ from rootneg.verification import (
     check_strict_scale_covariance,
     parameter_grid,
 )
+from test_rootsys import minus_rho
 
 
 def test_criterion_01_type_a_constant_is_one():
@@ -96,7 +97,7 @@ def test_criterion_08_lattice_index_table():
     }
     for name, index in expected.items():
         rs = build_root_system(name)
-        report = verify_fundamental_lemma(rs, rho(rs).scale(Q(-1)), "strict")
+        report = verify_fundamental_lemma(rs, minus_rho(rs), "strict")
         assert report.n_lattice == index, name
         assert report.integrality_ok, name
 

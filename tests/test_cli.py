@@ -102,7 +102,16 @@ def test_nsigma_cache_write_is_atomic(tmp_path, capsys, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["nsigma.json"]
 
 
-@pytest.mark.parametrize("content", ["{not json", "[1, 2]", "\xff\xfe"])
+@pytest.mark.parametrize("content", [
+    "{not json", "[1, 2]", "\xff\xfe",
+    # malformed entries under the key that is asked for
+    '{"G2/bds": "x"}',
+    '{"G2/bds": {"n_sigma": "6"}}',
+    '{"G2/bds": {"n_sigma": 6, "subsystems": []}}',
+    '{"G2/bds": {"n_sigma": "6", "subsystems": "G2"}}',
+    '{"G2/bds": {"n_sigma": "6", "subsystems": [{"label": "G2"}]}}',
+    '{"G2/bds": {"n_sigma": "6", "subsystems": [{"label": "G2", "n": 6}]}}',
+])
 def test_nsigma_unreadable_cache_is_a_miss(tmp_path, capsys, content):
     cache_file = tmp_path / "nsigma.json"
     cache_file.write_bytes(content.encode("latin-1"))
@@ -113,6 +122,18 @@ def test_nsigma_unreadable_cache_is_a_miss(tmp_path, capsys, content):
     assert "nsigma.json" in err
     # the recomputed entry replaces the unreadable file
     assert list(json.loads(cache_file.read_text())) == ["G2/bds"]
+
+
+def test_nsigma_malformed_entry_keeps_the_other_entries(tmp_path, capsys):
+    cache_file = tmp_path / "nsigma.json"
+    kept = {"n_sigma": "1", "subsystems": [{"label": "A2", "n": "1"}]}
+    cache_file.write_text(json.dumps({"A2/bds": kept, "G2/bds": "x"}))
+    code, out, err = invoke(capsys, "nsigma", "--type", "G2", "--cache-dir", str(tmp_path))
+    assert code == 0 and json.loads(out)["n_sigma"] == "6"
+    assert err.startswith("rootneg: ignoring malformed cache entry G2/bds")
+    cache = json.loads(cache_file.read_text())
+    assert cache["A2/bds"] == kept
+    assert cache["G2/bds"]["n_sigma"] == "6"
 
 
 def test_subsystems_b2(capsys):

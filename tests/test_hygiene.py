@@ -4,10 +4,10 @@ Every name a module imports is used in that module.  The package
 ``__init__.py`` is exempt, because its imports are the package's re-exports.
 Names used only inside string annotations count as used.
 
-Every top-level public function and class is referenced somewhere in the
-program (src/, demos/, perfbench/) or in the README, other than at its own
-definition: as a name, an attribute, or an imported name (which covers the
-package's re-exports).
+Every top-level public function and class, and every public method of a
+top-level class, is referenced somewhere in the program (src/, demos/,
+perfbench/) or in the README, other than at its own definition: as a name,
+an attribute, or an imported name (which covers the package's re-exports).
 """
 
 from __future__ import annotations
@@ -77,21 +77,27 @@ def test_scan_flags_an_unused_import():
     assert set(_imported(quoted)) <= _used(quoted)
 
 
+def _public(nodes, kinds):
+    return [n for n in nodes if isinstance(n, kinds) and not n.name.startswith("_")]
+
+
 def _public_defs(tree: ast.Module) -> dict[str, int]:
-    """Top-level public function and class name -> line."""
-    return {
-        node.name: node.lineno
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-    }
+    """Top-level public function and class name, and Class.method for the
+    public methods of top-level classes -> line."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defs = {node.name: node.lineno for node in _public(tree.body, functions + (ast.ClassDef,))}
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            defs.update((f"{cls.name}.{m.name}", m.lineno) for m in _public(cls.body, functions))
+    return defs
 
 
 def _referenced(tree: ast.Module) -> set[str]:
+    """Names used or imported, and ".attr" for every attribute read."""
     names = _used(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            names.add("." + node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name)
     return names
@@ -99,7 +105,8 @@ def _referenced(tree: ast.Module) -> set[str]:
 
 @functools.cache
 def _program_references() -> frozenset[str]:
-    names = set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
+    words = re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8"))
+    names = set(words) | {"." + w for w in words}
     for folder in ("src", "demos", "perfbench"):
         for path in (ROOT / folder).rglob("*.py"):
             names |= _referenced(ast.parse(path.read_text(encoding="utf-8")))
@@ -107,9 +114,13 @@ def _program_references() -> frozenset[str]:
 
 
 def _unreferenced(tree: ast.Module, references) -> list[str]:
+    """A function or class counts as referenced by its name or an attribute
+    of that name; a method only by an attribute, since nothing calls a
+    method by its bare name."""
     return sorted(
         f"{name} (line {line})" for name, line in _public_defs(tree).items()
-        if name not in references
+        if "." + name.rpartition(".")[2] not in references
+        and ("." in name or name not in references)
     )
 
 
@@ -130,3 +141,18 @@ def test_scan_flags_an_unreferenced_def():
     caller = ast.parse("from m import used\nKept()\nx.attr()\n")
     module = ast.parse("def used(): pass\ndef unused(): pass\nclass Kept: pass\ndef attr(): pass\n")
     assert _unreferenced(module, _referenced(caller)) == ["unused (line 2)"]
+
+
+def test_scan_flags_an_unreferenced_method():
+    source = (SRC / "rootsys.py").read_text(encoding="utf-8")
+    planted = ast.parse(source.replace(
+        "    def is_real(self) -> bool:",
+        "    def planted_method(self):\n        return 1\n\n"
+        "    def _private_method(self):\n        return 2\n\n"
+        "    def is_real(self) -> bool:",
+    ))
+    line = next(i for i, text in enumerate(source.splitlines(), 1) if "def is_real(" in text)
+    assert _unreferenced(planted, _program_references()) == [f"Parameter.planted_method (line {line})"]
+    caller = ast.parse("k = Kept()\nk.used()\n")
+    module = ast.parse("class Kept:\n    def used(self): pass\n    def unused(self): pass\n")
+    assert _unreferenced(module, _referenced(caller)) == ["Kept.unused (line 3)"]

@@ -1,12 +1,11 @@
 from __future__ import annotations
 
 import random
-from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
 
-from rootneg import linalg, negativity, rootsys
+from rootneg import linalg, negativity, params, rootsys
 from rootneg.negativity import (
     NegativityQuery,
     certify_exponent,
@@ -19,8 +18,9 @@ from rootneg.negativity import (
     weight_lattice_basis,
 )
 from rootneg.params import SubspaceBasis, full_space, gallery_class, integral_roots
-from rootneg.rootsys import Parameter, WeylElement, build_root_system, rho
+from rootneg.rootsys import Parameter, build_root_system
 from test_linalg import fraction_det
+from test_rootsys import minus_rho
 
 
 def test_query_validation():
@@ -114,7 +114,7 @@ def test_span_basis_and_weight_lattice():
     # every weight vector pairs integrally with every positive integral coroot
     for name in ("A2", "B2", "G2", "BC1"):
         sys_ = build_root_system(name)
-        lam = rho(sys_).scale(Q(-1))
+        lam = minus_rho(sys_)
         sig = integral_roots(sys_, lam, 2)
         s_b, w_b = weight_lattice_basis(sys_, sig)
         for w in w_b:
@@ -305,25 +305,21 @@ def test_span_basis_matches_rank_definition(name):
         assert span_basis_of_integral_roots(rs, subset) == _rank_span_basis(subset)
 
 
-def test_fundamental_lemma_inverts_each_chamber_at_most_once(monkeypatch):
+def test_class_and_lemma_peel_no_descent_word(monkeypatch):
     # a one-dimensional edge and a subspace that no gallery member satisfies,
-    # so the search visits every chamber of the gallery
+    # so the lemma's search reads every chamber of the walk; witnesses and
+    # members come off the walk, so no descent word is peeled
     rs = build_root_system("F4")
     lam = Parameter.of([Q(1, 2), Q(1, 3), 1, -1])
     sub = SubspaceBasis(4, ((0, 0, 1, 0),))
-    assert len(gallery_class(rs, lam)) > 1
-    original = WeylElement.inverse
-    calls = Counter()
+    size = len(gallery_class(rs, lam))
+    assert size > 1
 
-    def counting(self, rs_):
-        calls[self] += 1
-        return original(self, rs_)
+    def refuse(*args):
+        raise AssertionError("a descent word was peeled")
 
-    monkeypatch.setattr(WeylElement, "inverse", counting)
-    check_class_negativity(rs, lam, "weak", sub)
-    in_class_check = Counter(calls)
-    calls.clear()
+    monkeypatch.setattr(rootsys, "descent_word", refuse)
+    monkeypatch.setattr(params, "descent_word", refuse)
+    assert len(check_class_negativity(rs, lam, "weak", sub).members) == size
     report = verify_fundamental_lemma(rs, lam, "weak", sub)
     assert report.containing_member is None and report.edge_basis.dim == 1
-    calls.subtract(in_class_check)
-    assert max(calls.values(), default=0) <= 1

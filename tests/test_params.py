@@ -10,6 +10,7 @@ from rootneg import linalg
 from rootneg.params import (
     SubspaceBasis,
     chamber_count,
+    chamber_walk,
     edge,
     equivalence_class,
     evaluate_on_coweight,
@@ -23,17 +24,22 @@ from rootneg.rootsys import (
     Parameter,
     WeylElement,
     act,
-    act_by_inverse,
     build_root_system,
     identity_weyl,
     pairing,
-    rho,
     weyl_group,
 )
 from rootneg.subsystems import subsystem_label
 from rootneg.verification import c_lambda
 from test_linalg import fraction_rref
-from test_rootsys import reflection_in, weyl_length
+from test_rootsys import (
+    act_by_inverse,
+    compose,
+    inverse,
+    minus_rho,
+    reflection_in,
+    weyl_length,
+)
 
 
 def test_value_in_fraction_of_z():
@@ -65,12 +71,12 @@ def test_integral_roots_bc1_depends_on_denominator():
 def test_integral_roots_at_minus_rho_is_everything():
     for name in ("A2", "B2", "G2"):
         rs = build_root_system(name)
-        lam = rho(rs).scale(Q(-1))
+        lam = minus_rho(rs)
         assert integral_roots(rs, lam, 1) == rs.roots
     # BC1 the doubled root pairs to a half-integer at -rho, so it only
     # joins once denominator 2 is allowed
     rs = build_root_system("BC1")
-    lam = rho(rs).scale(Q(-1))
+    lam = minus_rho(rs)
     assert integral_roots(rs, lam, 1) == ((-1,), (1,))
     assert integral_roots(rs, lam, 2) == rs.roots
 
@@ -92,7 +98,7 @@ def test_equivalence_class_a2_contract_case():
 
 def test_equivalence_class_fully_integral_is_singleton():
     rs = build_root_system("G2")
-    lam = rho(rs).scale(Q(-1))
+    lam = minus_rho(rs)
     cls = equivalence_class(rs, lam, 1)
     assert len(cls.members) == 1
     assert cls.parameters == (lam,)
@@ -118,7 +124,7 @@ def test_complex_convention_versus_real_part_only():
 def test_gallery_class_sizes():
     rs = build_root_system("A2")
     assert len(gallery_class(rs, Parameter.of([Q(1, 2), Q(1, 2)]))) == 3
-    assert len(gallery_class(rs, rho(rs).scale(Q(-1)))) == 1
+    assert len(gallery_class(rs, minus_rho(rs))) == 1
     g2 = build_root_system("G2")
     assert len(gallery_class(g2, Parameter.of([Q(1, 5), Q(1, 7)]))) == 12
 
@@ -164,14 +170,14 @@ def test_edge_frozen_cases():
     assert e.vectors == ((Q(-1), Q(1)),)
     # the edge pairs to zero with the one integral positive root
     assert evaluate_on_coweight(rs, Parameter.of([1, 1]), e.vectors[0]) == (Q(0), Q(0))
-    assert edge(rs, rho(rs).scale(Q(-1))).dim == 0
+    assert edge(rs, minus_rho(rs)).dim == 0
     assert edge(rs, Parameter.of([Q(1, 5), Q(1, 7)])).dim == 2
 
 
 def _act_coweight(rs, w, x):
     """w(X) in coweight coordinates: coordinate j is the value of the j-th
     simple root on w(X), which equals the value of w^{-1}(alpha_j) on X."""
-    return tuple(linalg.dot(img, x) for img in w.inverse(rs).images)
+    return tuple(linalg.dot(img, x) for img in inverse(rs, w).images)
 
 
 def test_edge_is_weyl_equivariant():
@@ -267,6 +273,60 @@ def test_equivalence_class_matches_breadth_first_search(name):
             cls = equivalence_class(rs, lam, denominator)
             got = [(w.images, mu) for w, mu in cls.members]
             assert got == breadth_first_class(rs, lam, denominator), (name, lam, denominator)
+
+
+def reference_gallery(rs, lam, denominator):
+    """Chambers reached from C across walls of roots outside the integral
+    root set, level by level in (length, images) order."""
+    sigma = frozenset(integral_roots(rs, lam, denominator))
+    level = [identity_weyl(rs)]
+    seen = {level[0]}
+    out = []
+    while level:
+        out.extend(level)
+        nxt = []
+        for u in level:
+            for i in range(rs.rank):
+                v = u.times_simple(rs, i)
+                if u.images[i] not in sigma and v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+        level = sorted(nxt)
+    return out
+
+
+WALK_TYPES = [
+    "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "F4", "G2",
+    "BC1", "BC2", "BC3", "B2xG2",
+]
+
+
+@pytest.mark.parametrize("name", WALK_TYPES)
+def test_chamber_walk_records(name):
+    """Each chamber carries its inverse and the member it moves lam to."""
+    rs = build_root_system(name)
+    rng = random.Random(f"chamber_walk/{name}")
+    for k in range(3 if rs.rank == 4 else 6):
+        lam = Parameter(
+            tuple(Q(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6))) for _ in range(rs.rank)),
+            tuple(Q(rng.randint(-1, 1), 2) if k % 3 == 2 else Q(0) for _ in range(rs.rank)),
+        )
+        for denominator in (1, 2, 3, 6):
+            walk = chamber_walk(rs, lam, denominator)
+            assert [c.u for c in walk] == reference_gallery(rs, lam, denominator)
+            for c in walk:
+                assert compose(c.u, c.w) == identity_weyl(rs), (name, lam, c.u)
+                assert c.d == lam._scaled[0]
+                assert c.mu == act_by_inverse(rs, c.u, lam), (name, lam, c.u)
+                assert c.mu == act(rs, c.w, lam), (name, lam, c.u)
+
+
+def test_chamber_walk_validates_inputs():
+    rs = build_root_system("B2")
+    with pytest.raises(ValueError):
+        chamber_walk(rs, Parameter.of([1, 1]), 0)
+    with pytest.raises(ValueError):
+        chamber_walk(rs, Parameter.of([1, 1, 1]))
 
 
 def _interior_point_cone(rs, lam):
