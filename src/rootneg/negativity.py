@@ -308,12 +308,13 @@ def verify_fundamental_lemma(
 
     assigned = full_space(rs) if mode == "strict" or subspaces is None else subspaces
     containing: Optional[tuple[WeylElement, SubspaceBasis]] = None
+    edge_ints = [linalg.scaled_to_int(v) for v in edge_basis.vectors]
     for c in chamber_walk(rs, lam):
         # w(X)_j = (u alpha_j)(X) for w = u^{-1}, read off u's images.
         a_mu = _subspace_for(assigned, c.mu)
         if all(
-            a_mu.contains(tuple(linalg.dot(img, v) for img in c.u.images))
-            for v in edge_basis.vectors
+            a_mu.contains(tuple(sum(x * y for x, y in zip(img, v)) for img in c.u.images))
+            for v in edge_ints
         ):
             containing = (c.w, a_mu)
             break
@@ -357,8 +358,8 @@ def integral_class_constant(rs: RootSystem, lam: Parameter, denominator: int = 1
     strict predicate holds for the class).
     """
     sigma = integral_roots(rs, lam, denominator)
-    closed = reflection_closure(rs, sigma) if sigma else frozenset()
-    return n_of_subsystem(rs, closed)
+    closed = reflection_closure(rs, (rs.table.index[b] for b in sigma))
+    return n_of_subsystem(rs, (rs.roots[b] for b in closed))
 
 
 # ---------------------------------------------------------------------------

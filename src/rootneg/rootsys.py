@@ -9,6 +9,10 @@ rational values on the simple coroots (coordinates over the fundamental
 weights); w acts on one through its coordinates over the simple roots, which
 w moves as it moves any vector of the root span.
 
+``RootSystem.table`` holds each reflection as a permutation of the root
+numbers (as in CHEVIE/GAP: Geck, Hiss, Lübeck, Malle, Pfeiffer 1996); only the
+subsystem census and the checks that close root sets build it, on first use.
+
 Scaling convention: in every reduced irreducible component the short roots
 have squared length 2; in a non-reduced component the shortest roots have
 squared length 1 (so their doubles have squared length 4).
@@ -20,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from . import linalg
 from .linalg import Vec
@@ -187,6 +191,19 @@ def _positive_roots_from_cartan(cartan: list[list[int]]) -> list[Root]:
     return sorted(found, key=lambda r: (sum(r), r))
 
 
+class RootTable(NamedTuple):
+    """The roots numbered 0..N-1 in sorted order (so sorted number tuples sort
+    as the roots do, root N-1-a is -beta_a and the positive roots are
+    N/2..N-1), and W acting on the numbers: ``refl[a][b]`` numbers s_a(beta_b).
+    ``double[a]`` numbers 2 beta_a and ``half[a]`` beta_a / 2, or they are None.
+    """
+
+    index: dict[Root, int]
+    refl: tuple[tuple[int, ...], ...]
+    double: tuple[Union[int, None], ...]
+    half: tuple[Union[int, None], ...]
+
+
 class RootSystem:
     """An immutable root system built from a :class:`RootSystemSpec`.
 
@@ -271,12 +288,6 @@ class RootSystem:
         dbl = tuple(2 * b for b in beta)
         return dbl if dbl in self._root_set else None
 
-    def half_of(self, beta: Root) -> Union[Root, None]:
-        if any(b % 2 for b in beta):
-            return None
-        half = tuple(b // 2 for b in beta)
-        return half if half in self._root_set else None
-
     def length_sq(self, beta: Root) -> int:
         return self._len_sq[tuple(beta)]
 
@@ -293,6 +304,31 @@ class RootSystem:
         """Image of beta under the reflection in the wall of alpha."""
         k = self.root_pairing(beta, alpha)
         return tuple(b - k * a for b, a in zip(beta, alpha))
+
+    @cached_property
+    def table(self) -> RootTable:
+        """The root table, built on first use.  Simple rows reflect every root;
+        another positive beta takes a simple alpha with <beta, alpha-coroot> > 0,
+        so gamma = s_alpha beta is lower and s_beta = s_alpha s_gamma s_alpha.
+        The roots -beta and 2 beta share beta's row."""
+        roots, n = self.roots, len(self.roots)
+        index = {b: k for k, b in enumerate(roots)}
+        double = tuple(index.get(self.double_of(b)) for b in roots)
+        halves = {d: k for k, d in enumerate(double) if d is not None}
+        half = tuple(halves.get(k) for k in range(n))
+        refl: list = [None] * n
+        for beta in self.positive_roots:  # by height
+            k = index[beta]
+            if half[k] is not None:
+                row = refl[half[k]]
+            elif sum(beta) == 1:
+                row = tuple(index[self.reflect(beta, b)] for b in roots)
+            else:
+                alpha = next(a for a in self.simple_roots if self.root_pairing(beta, a) > 0)
+                s, g = refl[index[alpha]], refl[index[self.reflect(alpha, beta)]]
+                row = tuple(s[g[x]] for x in s)
+            refl[k] = refl[n - 1 - k] = row
+        return RootTable(index, tuple(refl), double, half)
 
 
 _build_cache: dict[str, RootSystem] = {}

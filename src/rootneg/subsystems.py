@@ -6,6 +6,11 @@ notion used when enumerating full-rank subsystems, so that (for example) the
 short A1xA1 inside B2 is found.  :func:`parabolic_closure` produces the
 stricter notion that additionally demands closure under root sums.
 
+The census holds subsets as frozensets of root numbers and reflects by rows
+of ``rs.table.refl``; sorted numbers sort as the roots do, so it visits, keys
+and picks representatives in the vectors' order.  Component splits, labels and
+parabolic closures stay on vectors for the commands that never build the table.
+
 Full-rank subsystems are listed up to W-conjugacy, exactly at every rank
 and without enumerating W: a subsystem's class is keyed by the dominant
 W-conjugate of 2ρ_S (the sum of its positive roots) together with the least
@@ -23,7 +28,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction as Q
 from typing import Iterable, Literal, Optional
 
 from . import linalg
@@ -36,6 +40,8 @@ from .rootsys import (
 )
 
 RootSet = frozenset[Root]
+#: a subset of the roots as numbers in rs.roots order (see RootSystem.table)
+IndexSet = frozenset[int]
 
 #: brute-force enumeration walks all sign-pair subsets; cap the exponent.
 BRUTE_FORCE_MAX_RANK = 3
@@ -48,41 +54,35 @@ class Subsystem:
     roots: tuple[Root, ...]
     label: str
 
-    @property
-    def rank(self) -> int:
-        return linalg.int_rank(self.roots)
-
 
 # ---------------------------------------------------------------------------
 # Closures and membership
 
-def reflection_closure(rs: RootSystem, seed: Iterable[Root]) -> RootSet:
-    """Smallest subset containing seed, stable under negation and under the
-    reflections of its own members.
+def reflection_closure(rs: RootSystem, seed: Iterable[int]) -> IndexSet:
+    """Smallest set of root numbers containing seed, stable under negation
+    and under the reflections of its own members.
 
     That set is the orbit of seed under the group generated by the
     reflections of seed's members (s_{w alpha} = w s_alpha w^{-1}), and a
     member already in the orbit adds no new generator; so each orbit element
     is reflected only in the generators, not in every other element.
     """
-    seed = [tuple(r) for r in seed]
-    for r in seed:
-        if r not in rs._root_set:
-            raise ValueError(f"{r} is not a root")
-    current: set[Root] = set()
-    gens: list[Root] = []
+    refl = rs.table.refl
+    current: set[int] = set()
+    gens: list[tuple[int, ...]] = []
     for alpha in seed:
         if alpha in current:
             continue
-        gens.append(alpha)
+        row = refl[alpha]
+        gens.append(row)
         # old members still owe their image under the new generator
-        stack = [rs.reflect(alpha, beta) for beta in current]
+        stack = [row[beta] for beta in current]
         stack.append(alpha)
         while stack:
             beta = stack.pop()
             if beta not in current:
                 current.add(beta)
-                stack.extend(rs.reflect(g, beta) for g in gens)
+                stack.extend(g[beta] for g in gens)
     return frozenset(current)
 
 
@@ -194,105 +194,78 @@ def _side_coords(rs: RootSystem, beta: Root, side: Side) -> tuple[int, ...]:
     return rs.coroot_coweight_coords(beta)
 
 
-def _indivisible_part(rs: RootSystem, comp: RootSet, side: Side) -> RootSet:
-    if side == "root":
-        return frozenset(b for b in comp if rs.half_of(b) not in comp)
-    return frozenset(b for b in comp if rs.double_of(b) not in comp)
+def _indivisible_part(rs: RootSystem, comp: IndexSet, side: Side) -> IndexSet:
+    partner = rs.table.half if side == "root" else rs.table.double
+    return frozenset(b for b in comp if partner[b] not in comp)
 
 
-def _simple_system(rs: RootSystem, reduced: RootSet, side: Side) -> tuple[Root, ...]:
-    """Simple roots of a reduced component w.r.t. the ambient positivity.
-
-    In order of increasing height on the chosen side, a positive root is
-    simple unless it is a simple root found before it plus a positive root.
-    """
-    pos = [b for b in reduced if sum(b) > 0]
-    if side == "root":
-        height = sum
-    else:
-        # the coroot of b is sum_j b_j (a_j, a_j)/(b, b) times simple coroot j
-        def height(b: Root) -> Q:
-            return Q(sum(x * d for x, d in zip(b, rs._diag)), rs.length_sq(b))
-
-    vecs = {_side_coords(rs, b, side) for b in pos}
-    simple: list[Root] = []
-    for b in sorted(pos, key=height):
-        target = _side_coords(rs, b, side)
-        if not any(
-            tuple(t - v for t, v in zip(target, _side_coords(rs, a, side))) in vecs
-            for a in simple
-        ):
-            simple.append(b)
-    return tuple(sorted(simple))
+def _simple_system(rs: RootSystem, reduced: IndexSet) -> tuple[int, ...]:
+    """Simple roots of a reduced reflection-closed set: its positive members
+    whose reflection keeps its other positive members positive (Humphreys
+    §10.2); their coroots are the simple coroots."""
+    first_positive = len(rs.roots) // 2
+    refl = rs.table.refl
+    pos = sorted(b for b in reduced if b >= first_positive)
+    return tuple(a for a in pos if all(refl[a][b] >= first_positive for b in pos if b != a))
 
 
 def _component_affine(
-    rs: RootSystem, comp: RootSet, side: Side
-) -> tuple[tuple[Root, ...], Root, tuple[int, ...]]:
-    """(simple nodes, highest root, marks) of one component on one side."""
+    rs: RootSystem, comp: IndexSet, side: Side
+) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
+    """(simple nodes, highest root, marks) of one component on one side.
+
+    Adding simple roots to a simple root while the sum stays a root ends at
+    the highest root (Bourbaki VI §1.8), and counts its coefficients.
+    """
     reduced = _indivisible_part(rs, comp, side)
-    simple = _simple_system(rs, reduced, side)
-    rows = [_side_coords(rs, s, side) for s in simple]
-    # heights, scaled by one positive integer: h is 1 on every simple root
-    h = linalg.solve(rows, [1] * len(simple))
-    scale = math.lcm(*(x.denominator for x in h))
-    h = [int(x * scale) for x in h]
-    heights = {
-        b: sum(x * y for x, y in zip(h, _side_coords(rs, b, side)))
-        for b in reduced
-        if sum(b) > 0
-    }
-    top = max(heights, key=lambda b: (heights[b], b))
-    ties = [b for b, v in heights.items() if v == heights[top]]
-    if len(ties) != 1:
-        raise AssertionError("highest root is not unique; component not irreducible?")
-    sol = linalg.solve(list(zip(*rows)), _side_coords(rs, top, side))
-    if sol is None or any(x.denominator != 1 or x <= 0 for x in sol):
-        raise AssertionError("highest root is not a positive integral simple combination")
-    marks = tuple(int(x) for x in sol)
-    return simple, top, marks
+    simple = _simple_system(rs, reduced)
+    number = {_side_coords(rs, rs.roots[b], side): b for b in reduced}
+    steps = [_side_coords(rs, rs.roots[a], side) for a in simple]
+    top, marks, k = steps[0], [1] + [0] * (len(simple) - 1), 0
+    while k < len(steps):
+        up = tuple(x + y for x, y in zip(top, steps[k]))
+        if up in number:
+            top, marks[k], k = up, marks[k] + 1, 0
+        else:
+            k += 1
+    return simple, number[top], tuple(marks)
 
 
 # ---------------------------------------------------------------------------
 # Full-rank subsystem enumeration
 
-def _saturate(rs: RootSystem, s: RootSet) -> RootSet:
+def _saturate(rs: RootSystem, s: IndexSet) -> IndexSet:
     """Adjoin ambient doubles and halves of members, then re-close."""
-    extra = set()
-    for beta in s:
-        dbl = rs.double_of(beta)
-        if dbl is not None:
-            extra.add(dbl)
-        half = rs.half_of(beta)
-        if half is not None:
-            extra.add(half)
-    if not extra - set(s):
+    table = rs.table
+    extra = {table.double[b] for b in s} | {table.half[b] for b in s}
+    extra.discard(None)
+    if extra <= s:
         return s
-    return reflection_closure(rs, set(s) | extra)
+    return reflection_closure(rs, s | extra)
 
 
-def _children(rs: RootSystem, s: RootSet) -> set[RootSet]:
-    """One step of extended-diagram node removal, on both lattice sides."""
-    out: set[RootSet] = set()
-    comps = component_split(rs, s)
-    for ci, comp in enumerate(comps):
-        rest: set[Root] = set()
-        for cj, other in enumerate(comps):
-            if cj != ci:
-                rest |= other
+def _children(rs: RootSystem, s: IndexSet) -> set[IndexSet]:
+    """One step of extended-diagram node removal, on both lattice sides.
+
+    The components of s span orthogonal subspaces, so closing the kept nodes
+    of one component and adjoining the others is the closure of their union.
+    """
+    roots, index = rs.roots, rs.table.index
+    out: set[IndexSet] = set()
+    for comp in component_split(rs, (roots[b] for b in s)):
+        comp = frozenset(index[b] for b in comp)
+        rest = s - comp
         for side in ("root", "coroot"):
             simple, top, _marks = _component_affine(rs, comp, side)
-            nodes = simple + (tuple(-t for t in top),)
+            nodes = simple + (len(roots) - 1 - top,)
             for drop in range(len(nodes)):
-                kept = [nodes[k] for k in range(len(nodes)) if k != drop]
-                child = reflection_closure(rs, rest | set(kept))
-                out.add(child)
-                out.add(_saturate(rs, child))
+                child = rest | reflection_closure(rs, nodes[:drop] + nodes[drop + 1:])
+                out |= {child, _saturate(rs, child)}
     out.discard(s)
     return out
 
 
-def _conjugacy_key(rs: RootSystem, s: RootSet) -> tuple:
+def _conjugacy_key(rs: RootSystem, s: IndexSet) -> tuple:
     """A complete invariant of the W-conjugacy class of a subsystem S.
 
     P = S ∩ Φ⁺ is a positive system of S, and 2ρ_P = sum(P) is W-equivariant
@@ -308,10 +281,15 @@ def _conjugacy_key(rs: RootSystem, s: RootSet) -> tuple:
     roots, each flagged by whether its double lies in S (so non-reduced
     components stay distinct); the key is the least representative in the
     orbit.  No step enumerates W.
+
+    Roots move by table rows; dom and v2 are not roots, and s_i changes
+    their coordinate i only.
     """
-    pos = [b for b in s if sum(b) > 0]
-    simple = list(_simple_system(rs, _indivisible_part(rs, s, "root"), "root"))
-    flags = [rs.double_of(a) in s for a in simple]
+    roots, table = rs.roots, rs.table
+    refl = table.refl
+    pos = [b for b in s if b >= len(roots) // 2]
+    simple = list(_simple_system(rs, _indivisible_part(rs, s, "root")))
+    flags = [table.double[a] in s for a in simple]
 
     # a positive root lies in the component of every simple root it is not
     # orthogonal to; components are joined over the simple roots
@@ -324,35 +302,38 @@ def _conjugacy_key(rs: RootSystem, s: RootSet) -> tuple:
 
     for a in range(len(simple)):
         for b in range(a + 1, len(simple)):
-            if rs.root_pairing(simple[b], simple[a]):
+            if refl[simple[a]][simple[b]] != simple[b]:
                 parent[find(a)] = find(b)
     comps = [
-        find(next(k for k, a in enumerate(simple) if rs.root_pairing(beta, a)))
+        find(next(k for k, a in enumerate(simple) if refl[a][beta] != beta))
         for beta in pos
     ]
     size = Counter(comps)
-    dom = tuple(sum(col) for col in zip(*pos))
-    v2 = tuple(sum(size[c] * beta[j] for c, beta in zip(comps, pos)) for j in range(rs.rank))
+    dom = [sum(roots[b][j] for b in pos) for j in range(rs.rank)]
+    v2 = [sum(size[c] * roots[b][j] for c, b in zip(comps, pos)) for j in range(rs.rank)]
 
-    simples = rs.simple_roots
+    cartan = rs.cartan
+    simple_rows = [refl[table.index[a]] for a in rs.simple_roots]
 
-    def to_dominant(v: Root, indices, carried: list[Root]) -> Root:
-        """Reflect v by simple reflections s_i, i in indices, until it pairs
-        non-negatively with those coroots; carried gets the same reflections."""
+    def coroot_value(v: list[int], i: int) -> int:
+        return sum(x * c for x, c in zip(v, cartan[i]))
+
+    def to_dominant(v: list[int], indices, carried: list[list[int]]) -> None:
+        """Reflect v by s_i, i in indices, until it pairs non-negatively with
+        those coroots, and carried and the simple roots along with it."""
         while True:
-            i = next((i for i in indices if rs.root_pairing(v, simples[i]) < 0), None)
+            i = next((i for i in indices if coroot_value(v, i) < 0), None)
             if i is None:
-                return v
-            v = rs.reflect(simples[i], v)
-            carried[:] = [rs.reflect(simples[i], x) for x in carried]
+                return
+            for x in (v, *carried):
+                x[i] -= coroot_value(x, i)
+            simple[:] = [simple_rows[i][a] for a in simple]
 
-    carried = simple + [v2]
-    dom = to_dominant(dom, range(rs.rank), carried)
-    simple, v2 = carried[:-1], carried[-1]
+    to_dominant(dom, range(rs.rank), [v2])
     # W_J fixes dom, so moving v2 within W_J leaves dom dominant
-    j1 = [i for i in range(rs.rank) if rs.root_pairing(dom, simples[i]) == 0]
-    v2 = to_dominant(v2, j1, simple)
-    j2 = [i for i in j1 if rs.root_pairing(v2, simples[i]) == 0]
+    j1 = [i for i in range(rs.rank) if coroot_value(dom, i) == 0]
+    to_dominant(v2, j1, [])
+    j2 = [i for i in j1 if coroot_value(v2, i) == 0]
 
     start = tuple(sorted(zip(simple, flags)))
     orbit = {start}
@@ -361,12 +342,13 @@ def _conjugacy_key(rs: RootSystem, s: RootSet) -> tuple:
         nxt = []
         for node in frontier:
             for i in j2:
-                img = tuple(sorted((rs.reflect(simples[i], a), f) for a, f in node))
+                row = simple_rows[i]
+                img = tuple(sorted((row[a], f) for a, f in node))
                 if img not in orbit:
                     orbit.add(img)
                     nxt.append(img)
         frontier = nxt
-    return dom, min(orbit)
+    return tuple(dom), min(orbit)
 
 
 def full_rank_subsystems(
@@ -395,46 +377,50 @@ def full_rank_subsystems(
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    reps: dict[tuple, tuple[Root, ...]] = {}
+    roots = rs.roots
+    reps: dict[tuple, tuple[int, ...]] = {}
     if candidates is not None:
-        for roots in sorted(tuple(sorted(c)) for c in candidates):
-            reps.setdefault(_conjugacy_key(rs, frozenset(roots)), roots)
+        for members in sorted(tuple(sorted(c)) for c in candidates):
+            reps.setdefault(_conjugacy_key(rs, frozenset(members)), members)
     else:
         # a child reached from several parents is queued (and keyed) once
-        queued = {frozenset(rs.roots)}
-        queue = [(rs.roots, frozenset(rs.roots))]
+        full = frozenset(range(len(roots)))
+        queued = {full}
+        queue = [(tuple(range(len(roots))), full)]
         while queue:
             queue.sort()
-            roots, s = queue.pop(0)
+            members, s = queue.pop(0)
             key = _conjugacy_key(rs, s)
             if key in reps:
                 continue
-            reps[key] = roots
+            reps[key] = members
             for child in _children(rs, s) - queued:
-                if linalg.int_rank(child) != rs.rank:
+                if linalg.int_rank(roots[b] for b in child) != rs.rank:
                     raise AssertionError("child subsystem lost full rank")
                 queued.add(child)
                 queue.append((tuple(sorted(child)), child))
 
-    out = [Subsystem(roots, subsystem_label(rs, roots)) for roots in reps.values()]
+    subs = [tuple(roots[b] for b in members) for members in reps.values()]
+    out = [Subsystem(sub, subsystem_label(rs, sub)) for sub in subs]
     return tuple(sorted(out, key=lambda sub: (sub.label, sub.roots)))
 
 
-def _brute_force_sets(rs: RootSystem) -> set[RootSet]:
+def _brute_force_sets(rs: RootSystem) -> set[IndexSet]:
     if rs.rank > BRUTE_FORCE_MAX_RANK:
         raise CapacityError(
             f"brute-force subsystem scan is limited to rank "
             f"{BRUTE_FORCE_MAX_RANK}; {rs.spec} has rank {rs.rank}"
         )
-    pos = rs.positive_roots
-    n = len(pos)
-    found: set[RootSet] = set()
-    for mask in range(1, 1 << n):
-        sel = [pos[i] for i in range(n) if mask >> i & 1]
-        s = frozenset(sel) | frozenset(tuple(-b for b in r) for r in sel)
-        if linalg.int_rank(sel) != rs.rank:
+    roots, refl = rs.roots, rs.table.refl
+    n = len(roots)
+    pos = range(n // 2, n)
+    found: set[IndexSet] = set()
+    for mask in range(1, 1 << len(pos)):
+        sel = [pos[i] for i in range(len(pos)) if mask >> i & 1]
+        s = frozenset(sel) | frozenset(n - 1 - b for b in sel)
+        if linalg.int_rank(roots[b] for b in sel) != rs.rank:
             continue
-        if all(rs.reflect(a, b) in s for a in s for b in s):
+        if all(refl[a][b] in s for a in s for b in s):
             found.add(s)
     return found
 

@@ -310,6 +310,34 @@ def test_chamber_count_only_above_the_weyl_order_limit(capsys, monkeypatch, argv
     assert (code, err) == (0, "")
 
 
+_TABLELESS_OPS = (
+    ("build", "--type", "E8"),
+    ("edge", "--type", "E8", "--re", "1/2,0,0,0,0,0,0,0"),
+    ("class", "--type", "F4", "--re", "1/2,1,1/3,1/2"),
+    ("gallery", "--type", "F4", "--re", "1/2,1,1/3,1/2"),
+    ("negativity", "--type", "F4", "--re", "-1,-1,-1,-1", "--mode", "strict"),
+    ("fundamental", "--type", "F4", "--re", "1/2,1/3,1,-1", "--mode", "weak",
+     "--subspace", "0,0,1,0"),
+)
+
+
+@pytest.mark.parametrize("argv", _TABLELESS_OPS, ids=[a[0] for a in _TABLELESS_OPS])
+def test_session_and_cold_commands_build_no_root_table(capsys, monkeypatch, argv):
+    # the reflection table serves the census; a class property that raises
+    # shadows any table an earlier test cached on the shared instances
+    from rootneg import rootsys
+
+    def refuse(rs):
+        raise RuntimeError("root table built")
+
+    monkeypatch.setattr(rootsys.RootSystem, "table", property(refuse))
+    code, out, err = invoke(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["type"] == argv[2]
+    with pytest.raises(RuntimeError, match="root table built"):
+        run(["subsystems", "--type", "G2"])
+
+
 _MOVE_CLASS_OPS = (
     ("class", "--type", "F4", "--re", "1/2,1/3,1,1/4", "--denominator", "2"),
     ("negativity", "--type", "F4", "--re", "1,1/2,1/2,-1", "--mode", "strict", "--denominator", "2"),

@@ -31,7 +31,7 @@ def weyl_length(rs, w):
     the reference for every (length, images) order of Weyl elements."""
     return sum(
         1 for beta in rs.positive_roots
-        if rs.half_of(beta) is None and sum(w.apply_root(beta)) < 0
+        if rs.table.half[rs.table.index[beta]] is None and sum(w.apply_root(beta)) < 0
     )
 
 
@@ -135,8 +135,9 @@ def test_non_reduced_divisibility():
     rs = build_root_system("BC2")
     alpha2 = (0, 1)
     assert rs.double_of(alpha2) == (0, 2)
-    assert rs.half_of((0, 2)) == alpha2
-    assert rs.half_of(alpha2) is None
+    half, index = rs.table.half, rs.table.index
+    assert half[index[(0, 2)]] == index[alpha2]
+    assert half[index[alpha2]] is None
     # every doubled root has half the coroot of its half
     assert rs.coroot_coweight_coords((0, 2)) == tuple(
         x // 2 for x in rs.coroot_coweight_coords((0, 1))
@@ -162,6 +163,36 @@ def test_reflection_preserves_roots():
             image = rs.reflect(alpha, beta)
             assert rs.contains(image)
             assert rs.reflect(alpha, image) == beta
+
+
+TABLE_TYPES = [
+    "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C3", "C4", "D4", "D5",
+    "E6", "E7", "E8", "F4", "G2", "BC1", "BC2", "BC3", "BC4", "BC5", "BC6", "B2xG2",
+]
+
+
+@pytest.mark.parametrize("name", TABLE_TYPES)
+def test_root_table_matches_reflect(name):
+    # the conjugation-built rows against the vector reflection of every pair
+    rs = build_root_system(name)
+    table = rs.table
+    n = len(rs.roots)
+    assert table.index == {b: k for k, b in enumerate(rs.roots)}
+    for a, alpha in enumerate(rs.roots):
+        row = table.refl[a]
+        assert row == tuple(table.index[rs.reflect(alpha, beta)] for beta in rs.roots)
+        assert sorted(row) == list(range(n))
+        assert all(row[row[b]] == b for b in range(n))
+        # root N-1-a is -alpha, and it reflects as alpha does
+        assert rs.roots[n - 1 - a] == tuple(-x for x in alpha)
+        assert table.refl[n - 1 - a] == row
+        assert (sum(alpha) > 0) == (a >= n // 2)
+        dbl = rs.double_of(alpha)
+        assert table.double[a] == (None if dbl is None else table.index[dbl])
+        if dbl is not None:
+            assert table.refl[table.double[a]] == row
+            assert table.half[table.double[a]] == a
+    assert sum(d is not None for d in table.double) == sum(h is not None for h in table.half)
 
 
 def test_pairing_frozen_values():

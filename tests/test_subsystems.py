@@ -3,19 +3,22 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+import sys
 from fractions import Fraction as Q
 
 import pytest
 
-from rootneg import subsystems
+from rootneg import linalg, subsystems
 from rootneg.params import integral_roots
-from rootneg.rootsys import Parameter, build_root_system, identity_weyl, weyl_group
+from rootneg.rootsys import Parameter, RootSystem, build_root_system, identity_weyl, weyl_group
 from rootneg.subsystems import (
     BRUTE_FORCE_MAX_RANK,
     _brute_force_sets,
     _children,
     _component_affine,
     _conjugacy_key,
+    _indivisible_part,
+    _side_coords,
     census,
     class_divisors,
     component_split,
@@ -37,15 +40,28 @@ def _short_a1xa1(rs):
     return {(0, 1), (0, -1), (1, 1), (-1, -1)}
 
 
+def _numbers(rs, roots):
+    return frozenset(rs.table.index[tuple(b)] for b in roots)
+
+
+def _vectors(rs, numbers):
+    return frozenset(rs.roots[b] for b in numbers)
+
+
+def _closure(rs, roots):
+    """reflection_closure on root vectors, through the root numbering."""
+    return _vectors(rs, reflection_closure(rs, _numbers(rs, roots)))
+
+
 def test_reflection_closure_generates_b2():
     rs = build_root_system("B2")
-    closed = reflection_closure(rs, [(0, 1), (1, 0)])
+    closed = _closure(rs, [(0, 1), (1, 0)])
     assert closed == set(rs.roots)
 
 
 def test_reflection_closure_of_orthogonal_pair_stays_small():
     rs = build_root_system("B2")
-    assert reflection_closure(rs, [(1, 0), (1, 2)]) == _long_a1xa1(rs)
+    assert _closure(rs, [(1, 0), (1, 2)]) == _long_a1xa1(rs)
 
 
 def _is_root_subsystem(rs, roots):
@@ -78,7 +94,7 @@ def test_is_root_subsystem():
     # two short roots sum to a long root outside the set, though the set is
     # reflection-closed: the census finds it, parabolic closure never makes it
     assert not _is_root_subsystem(rs, _short_a1xa1(rs))
-    assert reflection_closure(rs, _short_a1xa1(rs)) == _short_a1xa1(rs)
+    assert _closure(rs, _short_a1xa1(rs)) == _short_a1xa1(rs)
     assert _is_root_subsystem(rs, set(rs.roots))
     assert not _is_root_subsystem(rs, {(1, 0)})  # missing the negative
     assert not _is_root_subsystem(rs, {(1, 0), (-1, 0), (0, 1)})
@@ -147,7 +163,7 @@ def test_component_split_matches_union_find(name):
         subsets.append({r for r in rs.roots if rng.random() < p})
         # reflection-closed subsystems
         seed = rng.sample(rs.roots, min(len(rs.roots), rng.randint(1, 3)))
-        subsets.append(reflection_closure(rs, seed))
+        subsets.append(_closure(rs, seed))
         # integral root sets of rational parameters
         lam = Parameter.of([Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rs.rank)])
         subsets.append(integral_roots(rs, lam, rng.choice((1, 2))))
@@ -184,30 +200,91 @@ def test_g2_length_class_subsystems():
     assert n_of_subsystem(rs, short_roots) == 3
 
 
+def _affine(rs, roots, side):
+    """_component_affine on root vectors, through the root numbering."""
+    simple, top, marks = _component_affine(rs, _numbers(rs, roots), side)
+    return tuple(rs.roots[b] for b in simple), rs.roots[top], marks
+
+
 def test_affine_diagram_marks():
     rs = build_root_system("G2")
-    simple, top, marks = _component_affine(rs, frozenset(rs.roots), "root")
+    simple, top, marks = _affine(rs, rs.roots, "root")
     assert simple == ((0, 1), (1, 0))
     assert top == (2, 3)
     assert marks == (3, 2)
 
     rs = build_root_system("B2")
-    simple, top, marks = _component_affine(rs, frozenset(rs.roots), "root")
+    simple, top, marks = _affine(rs, rs.roots, "root")
     assert top == (1, 2)
     assert marks == (2, 1)
     # on the coroot side: the coroot of the short root (1, 1) is the highest
     # (of type C2), 2 alpha_1-coroot + alpha_2-coroot
-    simple, top, marks = _component_affine(rs, frozenset(rs.roots), "coroot")
+    simple, top, marks = _affine(rs, rs.roots, "coroot")
     assert simple == ((0, 1), (1, 0))
     assert top == (1, 1)
     assert marks == (1, 2)
+
+
+def _simple_by_heights(rs, reduced, side):
+    """Oracle: in order of increasing height on the side, a positive root is
+    simple unless it is a simple root found before it plus a positive root."""
+    roots = rs.roots
+    coords = {b: _side_coords(rs, roots[b], side) for b in reduced if sum(roots[b]) > 0}
+    if side == "root":
+        def height(b):
+            return sum(roots[b])
+    else:
+        # the coroot of b is sum_j b_j (a_j, a_j)/(b, b) times simple coroot j
+        def height(b):
+            return Q(sum(x * rs.gram[j][j] for j, x in enumerate(roots[b])),
+                     rs.length_sq(roots[b]))
+    vecs = set(coords.values())
+    simple = []
+    for b in sorted(coords, key=height):
+        if not any(tuple(t - v for t, v in zip(coords[b], coords[a])) in vecs for a in simple):
+            simple.append(b)
+    return tuple(sorted(simple))
+
+
+def _affine_by_solving(rs, comp, side):
+    """Oracle: simple roots by heights, the highest root as the positive root
+    of greatest height, and its marks by solving for its coefficients."""
+    roots = rs.roots
+    reduced = _indivisible_part(rs, comp, side)
+    simple = _simple_by_heights(rs, reduced, side)
+    rows = [_side_coords(rs, roots[a], side) for a in simple]
+    h = linalg.solve(rows, [1] * len(simple))
+    heights = {
+        b: sum(x * y for x, y in zip(h, _side_coords(rs, roots[b], side)))
+        for b in reduced if b >= len(roots) // 2
+    }
+    top = max(heights, key=heights.get)
+    assert [b for b, v in heights.items() if v == heights[top]] == [top]
+    sol = linalg.solve(list(zip(*rows)), _side_coords(rs, roots[top], side))
+    assert all(x.denominator == 1 and x > 0 for x in sol)
+    return simple, top, tuple(int(x) for x in sol)
+
+
+@pytest.mark.parametrize("name", ["B3", "C4", "F4", "G2", "BC3", "D5", "E6", "A2xB2", "G2xG2xA1"])
+def test_affine_climb_matches_solving(name):
+    # every component of every subsystem the bds walk reaches, on both sides
+    rs = build_root_system(name)
+    seen = 0
+    for s in _bds_candidates(rs):
+        for comp in component_split(rs, _vectors(rs, s)):
+            for side in ("root", "coroot"):
+                comp_numbers = _numbers(rs, comp)
+                expected = _affine_by_solving(rs, comp_numbers, side)
+                assert _component_affine(rs, comp_numbers, side) == expected
+                seen += 1
+    assert seen > 2 * rs.rank
 
 
 def test_affine_diagram_splits_products():
     rs = build_root_system("A1xA1")
     comps = component_split(rs, rs.roots)
     assert len(comps) == 2
-    assert [_component_affine(rs, c, "root")[2] for c in comps] == [(1,), (1,)]
+    assert [_affine(rs, c, "root")[2] for c in comps] == [(1,), (1,)]
 
 
 def test_bds_keys_each_candidate_once(monkeypatch):
@@ -221,6 +298,46 @@ def test_bds_keys_each_candidate_once(monkeypatch):
     monkeypatch.setattr(subsystems, "_conjugacy_key", counting_key)
     assert len(full_rank_subsystems(build_root_system("BC3"))) == 26
     assert len(keyed) == len(set(keyed)) == 43
+
+
+#: the census functions that reflect and pair roots through the root table
+_TABLE_CODE = {
+    "full_rank_subsystems", "_children", "_saturate", "reflection_closure",
+    "_brute_force_sets", "_conjugacy_key", "_component_affine", "_simple_system",
+    "_indivisible_part",
+}
+
+
+def _refuse_in_table_code(monkeypatch, name):
+    """Make RootSystem.<name> raise when the census code above calls it
+    (directly or from one of its comprehensions); other callers, such as
+    component_split and the labels, keep the vector method."""
+    original = getattr(RootSystem, name)
+
+    def guarded(rs, *args):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):
+            frame = frame.f_back
+        # nested helpers count as their enclosing function (co_qualname is 3.11+)
+        caller = getattr(frame.f_code, "co_qualname", frame.f_code.co_name)
+        if (frame.f_globals["__name__"] == subsystems.__name__
+                and caller.split(".")[0] in _TABLE_CODE):
+            raise AssertionError(f"RootSystem.{name} called in {caller}")
+        return original(rs, *args)
+
+    monkeypatch.setattr(RootSystem, name, guarded)
+
+
+@pytest.mark.parametrize("name,methods", [
+    ("F4", ("bds",)), ("BC3", ("bds", "brute_force")), ("G2xG2xA1", ("bds",)),
+])
+def test_census_reflects_by_table_rows(monkeypatch, name, methods):
+    rs = build_root_system(name)
+    expected = {method: full_rank_subsystems(rs, method) for method in methods}
+    _refuse_in_table_code(monkeypatch, "reflect")
+    _refuse_in_table_code(monkeypatch, "root_pairing")
+    for method in methods:
+        assert full_rank_subsystems(rs, method) == expected[method]
 
 
 CLASS_TABLES = {
@@ -270,7 +387,7 @@ def test_bds_equals_brute_force(name):
 def test_full_rank_subsystems_all_have_full_rank():
     rs = build_root_system("B2")
     for s in full_rank_subsystems(rs, "bds"):
-        assert s.rank == rs.rank
+        assert linalg.int_rank(s.roots) == rs.rank
 
 
 def test_n_of_subsystem_values():
@@ -346,8 +463,6 @@ def test_n_sigma_divisible_by_each_class_constant(name):
 
 @pytest.mark.parametrize("name", ["B2", "G2", "BC1", "BC2", "C3"])
 def test_scaled_coroots_land_in_subsystem_coroot_lattice(name):
-    from rootneg import linalg
-
     rs = build_root_system(name)
     for s in full_rank_subsystems(rs, "bds"):
         n = n_of_subsystem(rs, s.roots)
@@ -381,7 +496,8 @@ def _weyl_permutations(name):
 
 
 def _orbit_key(rs, s):
-    """Oracle: the least sorted image of s over every element of W.
+    """Oracle: the least sorted image of the root set s over every element
+    of W.
 
     Sorted index tuples compare as the sorted root lists they number.
     """
@@ -391,8 +507,9 @@ def _orbit_key(rs, s):
 
 
 def _bds_candidates(rs):
-    """Every subsystem the bds walk can reach from the whole system."""
-    full = frozenset(rs.roots)
+    """Every subsystem (as root numbers) the bds walk can reach from the
+    whole system."""
+    full = frozenset(range(len(rs.roots)))
     seen = {full}
     stack = [full]
     while stack:
@@ -427,8 +544,10 @@ def test_conjugacy_key_partitions_like_the_weyl_orbit(name):
         # images under the simple reflections, so that most classes hold
         # several distinct sets
         gens = [identity_weyl(rs).times_simple(rs, i) for i in range(rs.rank)]
-        sets = reached | {frozenset(w.apply_root(b) for b in s) for s in reached for w in gens}
-    oracle = _partition(sets, lambda s: _orbit_key(rs, s))
+        sets = reached | {
+            _numbers(rs, (w.apply_root(b) for b in _vectors(rs, s))) for s in reached for w in gens
+        }
+    oracle = _partition(sets, lambda s: _orbit_key(rs, _vectors(rs, s)))
     assert _partition(sets, lambda s: _conjugacy_key(rs, s)) == oracle
     assert len(full_rank_subsystems(rs, "bds")) == len({b for b in oracle if b & reached})
 
