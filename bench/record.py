@@ -3,15 +3,16 @@
 Usage, from the repository root:
 
     python3 bench/record.py --out BENCH_10.json \
-        --tree parent=/path/to/parent/checkout --tree change=. \
-        [--runs 3] [--seed 11] [--seconds 22]
+        --tree parent=/path/to/parent/checkout --tree change=. [--seed 11]
 
 Each --tree is a label and a checkout holding src/ and perfbench/.  For
 every tree the file gets:
 
-- the median over --runs runs of every end-to-end metric of every perfbench
-  workload (``perfbench/run.py --trace 0``), with the runs themselves; the
-  trees take turns run by run, so a slow drift of the machine hits both;
+- the median over RUNS runs of every end-to-end metric of every perfbench
+  workload (``perfbench/run.py --trace 0`` for BENCHMARK.json's
+  ``run_seconds``), with the runs themselves; the trees take turns run by
+  run, so a slow drift of the machine hits both, and run r of two trees is
+  one pair of a before/after comparison;
 - fresh-process CLI rows (wall seconds and peak RSS of one
   ``python -m rootneg.cli`` process each) for the commands in CLI_ROWS;
 - the commit of the checkout, when it is a git checkout (``-dirty`` when
@@ -32,6 +33,9 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+#: runs per tree and workload: the fewest pairs that a claimed gain needs
+RUNS = 10
 
 #: fresh-process rows: the census commands that the root table speeds up
 CLI_ROWS = (
@@ -78,34 +82,34 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--tree", action="append", required=True, metavar="LABEL=DIR")
-    parser.add_argument("--runs", type=int, default=3)
     parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--seconds", type=int, default=22)
     args = parser.parse_args(argv)
 
     trees = {}
     for item in args.tree:
         label, _, path = item.partition("=")
         trees[label] = Path(path).resolve()
-    workloads = [w["name"] for w in json.loads(
-        (next(iter(trees.values())) / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]]
+    benchmark = json.loads(
+        (next(iter(trees.values())) / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    seconds = benchmark["run_seconds"]
 
     runs: dict[str, dict[str, list[dict]]] = {label: {w: [] for w in workloads} for label in trees}
     order = list(trees)
-    for r in range(args.runs):
+    for r in range(RUNS):
         for workload in workloads:
             for label in order if r % 2 == 0 else order[::-1]:
-                row = _perfbench(trees[label], workload, args.seed, args.seconds)
+                row = _perfbench(trees[label], workload, args.seed, seconds)
                 runs[label][workload].append(row)
-                print(f"run {r + 1}/{args.runs} {workload} {label}: {row}", file=sys.stderr)
+                print(f"run {r + 1}/{RUNS} {workload} {label}: {row}", file=sys.stderr)
 
     doc = {
         "python": platform.python_version(),
         "platform": platform.platform(),
         "cpus": os.cpu_count(),
         "seed": args.seed,
-        "seconds": args.seconds,
-        "runs": args.runs,
+        "seconds": seconds,
+        "runs": RUNS,
         "trees": {},
     }
     for label, tree in trees.items():
