@@ -1,8 +1,9 @@
 """Walk one parameter through the core constructions.
 
 Builds a rank-2 system, picks a half-integral parameter, and prints the
-integral roots, the equivalence class with its Weyl witnesses, the chamber
-gallery, and the edge subspace.  Everything stays in exact rationals.
+integral roots, the equivalence class with the reduced words of its Weyl
+witnesses, the chamber gallery with the words its walk carries, and the edge
+subspace.  Everything stays in exact rationals.
 
 Run:  python3 demos/walk_a_parameter.py
 """
@@ -10,11 +11,10 @@ Run:  python3 demos/walk_a_parameter.py
 from fractions import Fraction as Q
 
 from rootneg.params import (
+    chamber_walk,
     edge,
     equivalence_class,
-    gallery_class,
     integral_roots,
-    reduced_word,
 )
 from rootneg.rootsys import Parameter, build_root_system, pairing
 
@@ -43,14 +43,15 @@ print()
 
 cls = equivalence_class(rs, lam, 1)
 print(f"equivalence class has {len(cls.members)} members:")
-for w, mu in cls.members:
-    print(f"  word {list(reduced_word(rs, w))!r:10} -> re={fmt(mu.re)}")
+for word, mu in cls.members:
+    print(f"  word {list(word)!r:10} -> re={fmt(mu.re)}")
 print()
 
-gallery = gallery_class(rs, lam)
+# each chamber u(C) carries the words of u and of its witness w = u^{-1}
+gallery = chamber_walk(rs, lam)
 print(f"gallery has {len(gallery)} chambers:")
-for u in gallery:
-    print(f"  chamber of word {list(reduced_word(rs, u))}")
+for c in gallery:
+    print(f"  chamber of word {list(c.u_word)!r:10} witness word {list(c.w_word)}")
 print()
 
 e = edge(rs, lam, 1)

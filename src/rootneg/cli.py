@@ -33,10 +33,9 @@ from .negativity import (
 from .params import (
     SubspaceBasis,
     chamber_count,
+    chamber_walk,
     edge,
     equivalence_class,
-    gallery_class,
-    reduced_word,
 )
 from .rootsys import (
     WEYL_ORDER_LIMIT,
@@ -139,10 +138,6 @@ def _check_chambers(rs: RootSystem, lam: Parameter) -> None:
             f"the gallery of this parameter in {rs.spec} has {count} chambers, "
             f"above the limit {WEYL_ORDER_LIMIT}"
         )
-
-
-def _word(rs: RootSystem, w) -> list[int]:
-    return list(reduced_word(rs, w))
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +254,8 @@ def _cmd_class(args) -> tuple[JsonDoc, int]:
     n = _denominator(args)
     _check_chambers(rs, lam)
     cls = equivalence_class(rs, lam, n)
-    # at denominator 1 the class has one member per gallery chamber
-    gallery_size = len(cls.members) if n == 1 else len(gallery_class(rs, lam))
+    # the gallery at denominator 1 has one chamber per coset of W(Sigma)
+    count = chamber_count(rs, lam)
     e = edge(rs, lam, n)
     doc = {
         "type": str(rs.spec),
@@ -268,11 +263,11 @@ def _cmd_class(args) -> tuple[JsonDoc, int]:
         "im": _q_list(lam.im),
         "denominator": n,
         "members": [
-            {"word": _word(rs, w), "re": _q_list(mu.re), "im": _q_list(mu.im)}
-            for w, mu in cls.members
+            {"word": list(word), "re": _q_list(mu.re), "im": _q_list(mu.im)}
+            for word, mu in cls.members
         ],
-        "gallery_size": gallery_size,
-        "chamber_count": chamber_count(rs, lam),
+        "gallery_size": count,
+        "chamber_count": count,
         "edge_dim": e.dim,
         "edge_basis": _q_rows(e.vectors),
     }
@@ -283,13 +278,13 @@ def _cmd_gallery(args) -> tuple[JsonDoc, int]:
     rs = build_root_system(args.type)
     lam = _parameter(rs, args)
     _check_chambers(rs, lam)
-    gallery = gallery_class(rs, lam)
+    gallery = chamber_walk(rs, lam)
     doc = {
         "type": str(rs.spec),
         "re": _q_list(lam.re),
         "im": _q_list(lam.im),
         "size": len(gallery),
-        "chambers": [_word(rs, w) for w in gallery],
+        "chambers": [list(c.u_word) for c in gallery],
     }
     return doc, 0
 
@@ -317,7 +312,7 @@ def _cmd_negativity(args) -> tuple[JsonDoc, int]:
     basis = _subspace(rs, args.subspace)
     _check_chambers(rs, lam)
     report = check_class_negativity(rs, lam, args.mode, basis, n)
-    # the class report checks lam itself as the member with w = identity
+    # the class report checks lam itself as the member with the empty word
     verdict = next(m.verdict for m in report.members if m.mu == lam)
     doc = {
         "type": str(rs.spec),
@@ -343,11 +338,7 @@ def _cmd_fundamental(args) -> tuple[JsonDoc, int]:
     basis = _subspace(rs, args.subspace)
     _check_chambers(rs, lam)
     report = verify_fundamental_lemma(rs, lam, args.mode, basis, n)
-    containing = (
-        _word(rs, report.containing_member[0])
-        if report.containing_member is not None
-        else None
-    )
+    containing = report.containing_member
     doc = {
         "type": str(rs.spec),
         "re": _q_list(lam.re),
@@ -357,7 +348,7 @@ def _cmd_fundamental(args) -> tuple[JsonDoc, int]:
         "vacuous": report.vacuous,
         "edge_dim": report.edge_basis.dim,
         "edge_basis": _q_rows(report.edge_basis.vectors),
-        "containing_member_word": containing,
+        "containing_member_word": list(containing[0]) if containing is not None else None,
         "re_on_edge_zero": report.re_lambda_on_edge_zero,
         "im_on_edge_zero": report.im_lambda_on_edge_zero,
         "edge_trivial": report.edge_trivial,

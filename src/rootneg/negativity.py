@@ -24,9 +24,9 @@ from . import linalg
 from .lattice import hermite_row_basis, lattice_index
 from .linalg import Vec
 from .params import (
+    Chamber,
     SubspaceBasis,
     chamber_walk,
-    equivalence_class,
     full_space,
     integral_roots,
 )
@@ -35,7 +35,6 @@ from .rootsys import (
     Root,
     RootSystem,
     RootSystemSpec,
-    WeylElement,
     _cartan_from_gram,
     _component_gram,
     pairing,
@@ -91,7 +90,7 @@ class NegativityVerdict:
 
 @dataclass(frozen=True)
 class MemberVerdict:
-    w: WeylElement
+    word: tuple[int, ...]
     mu: Parameter
     verdict: NegativityVerdict
 
@@ -114,7 +113,7 @@ class FundamentalLemmaReport:
 
     vacuous: bool
     edge_basis: SubspaceBasis
-    containing_member: Optional[tuple[WeylElement, SubspaceBasis]]
+    containing_member: Optional[tuple[tuple[int, ...], SubspaceBasis]]
     re_lambda_on_edge_zero: bool
     parabolic: Subsystem
     n_lattice: int
@@ -213,28 +212,35 @@ def check_class_negativity(
     subspaces: SubspaceAssignment = None,
     denominator: int = 1,
 ) -> ClassNegativityReport:
-    """Run check_negativity over every member of the equivalence class.
+    """Run check_negativity over every member of the equivalence class, in
+    chamber_walk order (lam first).
 
     subspaces assigns a_mu to each member: None means the documented default
     (the full chamber side) for every member, a single SubspaceBasis is used
     uniformly, and a mapping must cover every member parameter.  Strict mode
     takes no subspaces.
     """
+    subspaces = _assignment(rs, mode, subspaces)
+    return _class_negativity(rs, chamber_walk(rs, lam, denominator), mode, subspaces, denominator)
+
+
+def _assignment(rs: RootSystem, mode: Mode, subspaces: SubspaceAssignment) -> SubspaceAssignment:
+    """subspaces with None read as the full chamber side; strict mode takes none."""
     if mode == "strict" and subspaces is not None:
         raise ValueError("strict mode takes no subspace assignment")
-    if subspaces is None and mode != "strict":
-        subspaces = full_space(rs)
-    cls = equivalence_class(rs, lam, denominator)
+    return full_space(rs) if subspaces is None else subspaces
+
+
+def _class_negativity(rs: RootSystem, walk: tuple[Chamber, ...], mode: Mode,
+                      subspaces: SubspaceAssignment, denominator: int) -> ClassNegativityReport:
+    """check_class_negativity on a walk at denominator, members in walk order."""
     members = []
-    ok = True
-    for w, mu in cls.members:
+    for c in walk:
+        mu = c.mu
         a_mu = None if mode == "strict" else _subspace_for(subspaces, mu)
-        verdict = check_negativity(
-            rs, NegativityQuery(mu, mode, a_mu, denominator)
-        )
-        ok = ok and verdict.feasible
-        members.append(MemberVerdict(w, mu, verdict))
-    return ClassNegativityReport(ok, tuple(members))
+        verdict = check_negativity(rs, NegativityQuery(mu, mode, a_mu, denominator))
+        members.append(MemberVerdict(c.w_word, mu, verdict))
+    return ClassNegativityReport(all(m.verdict.feasible for m in members), tuple(members))
 
 
 def weight_lattice_basis(
@@ -297,26 +303,28 @@ def verify_fundamental_lemma(
     edge; strict mode tests that the edge is trivial and the integral
     coroots have full rank.  If class negativity fails for the requested
     mode the report is marked vacuous (and the checks are still reported).
+    At denominator 1 the class and the containing-member search read one walk.
     """
-    class_report = check_class_negativity(rs, lam, mode, subspaces, denominator)
-    vacuous = not class_report.ok
+    subspaces = _assignment(rs, mode, subspaces)
+    walk = chamber_walk(rs, lam, denominator)
+    gallery = walk if denominator == 1 else chamber_walk(rs, lam)
+    vacuous = not _class_negativity(rs, walk, mode, subspaces, denominator).ok
 
     sigma = integral_roots(rs, lam, denominator)
     sigma_pos = [b for b in sigma if sum(b) > 0]
     edge_rows = [linalg.vec(b) for b in sigma_pos]
     edge_basis = SubspaceBasis(rs.rank, linalg.nullspace(edge_rows, ncols=rs.rank))
 
-    assigned = full_space(rs) if mode == "strict" or subspaces is None else subspaces
-    containing: Optional[tuple[WeylElement, SubspaceBasis]] = None
+    containing: Optional[tuple[tuple[int, ...], SubspaceBasis]] = None
     edge_ints = [linalg.scaled_to_int(v) for v in edge_basis.vectors]
-    for c in chamber_walk(rs, lam):
+    for c in gallery:
         # w(X)_j = (u alpha_j)(X) for w = u^{-1}, read off u's images.
-        a_mu = _subspace_for(assigned, c.mu)
+        a_mu = _subspace_for(subspaces, c.mu)
         if all(
             a_mu.contains(tuple(sum(x * y for x, y in zip(img, v)) for img in c.u.images))
             for v in edge_ints
         ):
-            containing = (c.w, a_mu)
+            containing = (c.w_word, a_mu)
             break
 
     re_c, im_c = root_coords_of(rs, lam)

@@ -3,8 +3,9 @@ chamber galleries, and the edge subspace.  A gallery holds one chamber per
 coset of W(Sigma), Sigma the integral roots, so chamber_count is the index
 |W : W(Sigma)| and no element of W is enumerated.  A move class is read off
 the gallery at the same denominator, one member per chamber: one integer walk
-carries each chamber's witness w and member mu = w(lam), its step test reads
-mu's own coordinate, and no search runs over parameters.
+carries each chamber u(C), the member mu = w(lam) of its witness w = u^{-1},
+and the 1-based reduced words of w and u that the CLI prints; its step test
+reads mu's own coordinate, and no search runs over parameters.
 
 Throughout, "the pairing is in (1/N)Z" means: the imaginary part vanishes and
 N times the real part is an integer.  This is the only reading under which
@@ -25,7 +26,6 @@ from .rootsys import (
     Root,
     RootSystem,
     WeylElement,
-    descent_word,
     identity_weyl,
     root_coords_of,
     weyl_order,
@@ -74,12 +74,12 @@ def full_space(rs: RootSystem) -> SubspaceBasis:
 class ParameterClass:
     """All parameters reachable from base by admissible reflection moves.
 
-    members are (w, mu) pairs with mu = w(base), sorted by mu; each w is the
-    unique witness whose inverse lies in gallery_class(base, denominator),
-    and base itself appears with w = identity.
+    members are (word, mu) pairs with mu = w(base), sorted by mu; word is
+    Chamber.w_word of the unique witness w whose inverse lies in
+    gallery_class(base, denominator), and base itself appears with word ().
     """
 
-    members: tuple[tuple[WeylElement, Parameter], ...]
+    members: tuple[tuple[tuple[int, ...], Parameter], ...]
     base: Parameter
     denominator: int
 
@@ -125,11 +125,14 @@ def integral_roots(rs: RootSystem, lam: Parameter, denominator: int = 1) -> tupl
 
 
 class Chamber(NamedTuple):
-    """A chamber u(C) of chamber_walk, its witness w = u^{-1}, and the member
-    mu = w(lam) as d Re(mu) and d Im(mu), d the common denominator of lam."""
+    """A chamber u(C) of chamber_walk, the member mu = w(lam) of its witness
+    w = u^{-1} as d Re(mu) and d Im(mu), d the common denominator of lam, and
+    reduced words of w and u: 1-based, (a, ..., z) meaning s_a ... s_z, each
+    the least of its element's reduced words when read from the right."""
 
     u: WeylElement
-    w: WeylElement
+    w_word: tuple[int, ...]
+    u_word: tuple[int, ...]
     d: int
     re: tuple[int, ...]
     im: tuple[int, ...]
@@ -146,32 +149,39 @@ def chamber_walk(rs: RootSystem, lam: Parameter, denominator: int = 1) -> tuple[
 
     The step from u(C) to u s_i(C) crosses the wall of u(alpha_i), on whose
     coroot lam takes the value mu_i; it is allowed iff mu_i is outside
-    (1/denominator)Z.  It sets w to s_i w and mu to s_i(mu), whose j-th entry
-    is mu_j - cartan[j][i] mu_i.  Breadth-first level k is the chambers of
-    length k: a minimal gallery inside the cone crosses none of its walls.
+    (1/denominator)Z.  It sets mu to s_i(mu), whose j-th entry is
+    mu_j - cartan[j][i] mu_i.  Breadth-first level k is the chambers of
+    length k: a minimal gallery inside the cone crosses none of its walls,
+    so every right descent i of v = u s_i is such a step into v(C), and v's
+    words are the least, read from the right (Björner and Brenti,
+    Combinatorics of Coxeter Groups, ch. 3), of the parents' u_word + (i),
+    which the least i wins, and of (i) + the parents' w_word.
     """
     _check_inputs(rs, lam, denominator)
     d, re, im = lam._scaled
     columns = tuple(zip(*rs.cartan))
-    e = identity_weyl(rs)
-    level = [Chamber(e, e, d, re, im)]
-    seen = {e.images}
+    level = [Chamber(identity_weyl(rs), (), (), d, re, im)]
     out: list[Chamber] = []
     while level:
         out.extend(level)
-        nxt = []
-        for c in level:
-            for i, (alpha, col) in enumerate(zip(rs.simple_roots, columns)):
+        nxt: dict[tuple[Root, ...], Chamber] = {}
+        # s_i before s_(i+1), so the first step into a chamber gives its
+        # u_word; a step with u(alpha_i) < 0 goes back down a level
+        for i, col in enumerate(columns):
+            for c in level:
                 re_i, im_i = c.re[i], c.im[i]
-                if not im_i and denominator * re_i % d == 0:
+                if not im_i and denominator * re_i % d == 0 or sum(c.u.images[i]) < 0:
                     continue
                 u = c.u.times_simple(rs, i)
-                if u.images not in seen:
-                    seen.add(u.images)
-                    w = WeylElement(tuple(rs.reflect(alpha, img) for img in c.w.images))
-                    nxt.append(Chamber(u, w, d, tuple(x - a * re_i for x, a in zip(c.re, col)),
-                                       tuple(x - a * im_i for x, a in zip(c.im, col))))
-        level = sorted(nxt, key=lambda c: c.u.images)
+                w_word = (i + 1,) + c.w_word
+                old = nxt.get(u.images)
+                if old is None:
+                    nxt[u.images] = Chamber(u, w_word, c.u_word + (i + 1,), d,
+                                            tuple(x - a * re_i for x, a in zip(c.re, col)),
+                                            tuple(x - a * im_i for x, a in zip(c.im, col)))
+                elif w_word[::-1] < old.w_word[::-1]:
+                    nxt[u.images] = old._replace(w_word=w_word)
+        level = [nxt[images] for images in sorted(nxt)]
     return tuple(out)
 
 
@@ -184,7 +194,7 @@ def equivalence_class(rs: RootSystem, lam: Parameter, denominator: int = 1) -> P
     (Steinberg), all integral, so each chamber gives its own member.
     """
     walk = sorted(chamber_walk(rs, lam, denominator), key=lambda c: (c.re, c.im))
-    return ParameterClass(tuple((c.w, c.mu) for c in walk), lam, denominator)
+    return ParameterClass(tuple((c.w_word, c.mu) for c in walk), lam, denominator)
 
 
 def gallery_class(rs: RootSystem, lam: Parameter, denominator: int = 1) -> tuple[WeylElement, ...]:
@@ -215,8 +225,3 @@ def evaluate_on_coweight(rs: RootSystem, lam: Parameter, x: Vec) -> tuple[Q, Q]:
     re_c, im_c = root_coords_of(rs, lam)
     xv = linalg.vec(x)
     return linalg.dot(re_c, xv), linalg.dot(im_c, xv)
-
-
-def reduced_word(rs: RootSystem, w: WeylElement) -> tuple[int, ...]:
-    """A reduced word for w (1-based simple reflection indices)."""
-    return tuple(i + 1 for i in reversed(descent_word(rs, w)))

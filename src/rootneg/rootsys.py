@@ -4,7 +4,8 @@ Roots are integer coordinate tuples over the simple roots; the Gram and
 Cartan matrices are integer.  Weyl group elements are stored by their images
 of the simple roots, so multiplying by a simple reflection on the right and
 acting on roots is integer row arithmetic; every walk over W (the group
-itself, a chamber gallery) is a chain of such steps.  Parameters are complex
+itself, a chamber gallery) is a chain of such steps, and the gallery reads
+its elements' reduced words off those chains instead of peeling them.  Parameters are complex
 rational values on the simple coroots (coordinates over the fundamental
 weights); w acts on one through its coordinates over the simple roots, which
 w moves as it moves any vector of the root span.
@@ -477,22 +478,6 @@ class WeylElement:
 
 def identity_weyl(rs: RootSystem) -> WeylElement:
     return WeylElement(rs.simple_roots)
-
-
-def descent_word(rs: RootSystem, w: WeylElement) -> tuple[int, ...]:
-    """Right descents peeled off w, first to last (0-based indices).
-
-    Each step takes the least i with w(alpha_i) negative and replaces w by
-    w s_i, until w is the identity; for the word (a, b, ..., z) this gives
-    w = s_z ... s_b s_a, a reduced expression.
-    """
-    word = []
-    while True:
-        i = next((i for i, img in enumerate(w.images) if sum(img) < 0), None)
-        if i is None:
-            return tuple(word)
-        word.append(i)
-        w = w.times_simple(rs, i)
 
 
 @lru_cache(maxsize=None)

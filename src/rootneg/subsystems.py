@@ -418,9 +418,8 @@ def _brute_force_sets(rs: RootSystem) -> set[IndexSet]:
     for mask in range(1, 1 << len(pos)):
         sel = [pos[i] for i in range(len(pos)) if mask >> i & 1]
         s = frozenset(sel) | frozenset(n - 1 - b for b in sel)
-        if linalg.int_rank(roots[b] for b in sel) != rs.rank:
-            continue
-        if all(refl[a][b] in s for a in s for b in s):
+        if all(refl[a][b] in s for a in s for b in s) \
+                and linalg.int_rank(roots[b] for b in sel) == rs.rank:
             found.add(s)
     return found
 

@@ -25,6 +25,7 @@ from .negativity import (
     verify_fundamental_lemma,
 )
 from .params import (
+    chamber_count,
     equivalence_class,
     edge,
     evaluate_on_coweight,
@@ -146,13 +147,16 @@ def c_lambda(rs: RootSystem, lam: Parameter) -> tuple[WeylElement, ...]:
 def check_chamber_gallery_agreement(
     types: Sequence[str] = ("A2", "B2", "G2", "BC1"),
 ) -> PropertyResult:
-    """The chamber cone of the integral roots equals the gallery closure."""
+    """The chamber cone of the integral roots equals the gallery closure, and
+    the gallery has chamber_count chambers."""
 
     def check(rs: RootSystem, lam: Parameter) -> Optional[str]:
         cone = set(c_lambda(rs, lam))
-        gallery = set(gallery_class(rs, lam))
-        if cone != gallery:
+        gallery = gallery_class(rs, lam)
+        if cone != set(gallery):
             return f"cone has {len(cone)} chambers, gallery {len(gallery)}"
+        if len(gallery) != chamber_count(rs, lam):
+            return f"gallery has {len(gallery)} chambers, chamber_count {chamber_count(rs, lam)}"
         return None
 
     return _sweep("chamber_cone_equals_gallery", types, check)
@@ -198,12 +202,16 @@ def check_move_class_matches_gallery(
 def check_witnesses_consistent(
     types: Sequence[str] = ("A2", "B2", "G2", "BC1"),
 ) -> PropertyResult:
-    """Every (w, mu) member of a move class satisfies mu = w(lam)."""
+    """Every (word, mu) member of a move class satisfies mu = w(lam), w the
+    product of the simple reflections of the printed word."""
 
     def check(rs: RootSystem, lam: Parameter) -> Optional[str]:
-        for w, mu in equivalence_class(rs, lam, 1).members:
+        for word, mu in equivalence_class(rs, lam, 1).members:
+            w = identity_weyl(rs)
+            for i in word:
+                w = w.times_simple(rs, i - 1)
             if act(rs, w, lam) != mu:
-                return "witness does not map the base to its member"
+                return "witness word does not map the base to its member"
         return None
 
     return _sweep("move_class_witnesses", types, check)

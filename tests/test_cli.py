@@ -359,6 +359,36 @@ def test_parameter_commands_use_no_oracle(capsys, monkeypatch, argv):
     assert json.loads(out)["type"] == argv[2]
 
 
+_WALKING_COMMANDS = ("class", "gallery", "negativity", "fundamental")
+_WALKING_CASES = [
+    case for case in (json.loads(p.read_text(encoding="utf-8"))
+                      for p in sorted((REPO_ROOT / "tests" / "golden").glob("*.json")))
+    if case["argv"][0] in _WALKING_COMMANDS
+]
+
+
+def test_golden_commands_walk_each_parameter_once(capsys, monkeypatch):
+    # every module that calls chamber_walk by name sees the counting wrapper
+    from rootneg import cli, negativity, params
+
+    original = params.chamber_walk
+    calls = []
+
+    def counting(rs, lam, denominator=1):
+        calls.append((lam, denominator))
+        return original(rs, lam, denominator)
+
+    for module in (params, negativity, cli):
+        monkeypatch.setattr(module, "chamber_walk", counting)
+    assert {case["argv"][0] for case in _WALKING_CASES} == set(_WALKING_COMMANDS)
+    for case in _WALKING_CASES:
+        calls.clear()
+        assert run(case["argv"]) == case["exit_code"]
+        assert capsys.readouterr().out == case["stdout"]
+        assert len(calls) == len(set(calls)), case["argv"]
+        assert calls or case["exit_code"] != 0, case["argv"]
+
+
 @pytest.mark.parametrize(
     "type_name, re, count",
     [
@@ -372,7 +402,7 @@ def test_e7_e8_within_the_limit_are_answered(capsys, type_name, re, count):
     code, out, _ = invoke(capsys, "class", "--type", type_name, "--re", re)
     assert code == 0
     doc = json.loads(out)
-    # the coset index, the walked gallery and (at denominator 1) the class agree
+    # the coset index and the class walked at denominator 1 agree
     assert doc["chamber_count"] == doc["gallery_size"] == len(doc["members"]) == count
 
 

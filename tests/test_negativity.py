@@ -305,21 +305,18 @@ def test_span_basis_matches_rank_definition(name):
         assert span_basis_of_integral_roots(rs, subset) == _rank_span_basis(subset)
 
 
-def test_class_and_lemma_peel_no_descent_word(monkeypatch):
+def test_class_and_lemma_read_words_off_the_walk():
     # a one-dimensional edge and a subspace that no gallery member satisfies,
-    # so the lemma's search reads every chamber of the walk; witnesses and
-    # members come off the walk, so no descent word is peeled
+    # so the lemma's search reads every chamber of the walk; witness words
+    # come off the walk, and no library module peels a descent word
+    for module in (rootsys, params):
+        assert not hasattr(module, "descent_word")
+        assert not hasattr(module, "reduced_word")
     rs = build_root_system("F4")
     lam = Parameter.of([Q(1, 2), Q(1, 3), 1, -1])
     sub = SubspaceBasis(4, ((0, 0, 1, 0),))
     size = len(gallery_class(rs, lam))
     assert size > 1
-
-    def refuse(*args):
-        raise AssertionError("a descent word was peeled")
-
-    monkeypatch.setattr(rootsys, "descent_word", refuse)
-    monkeypatch.setattr(params, "descent_word", refuse)
     assert len(check_class_negativity(rs, lam, "weak", sub).members) == size
     report = verify_fundamental_lemma(rs, lam, "weak", sub)
     assert report.containing_member is None and report.edge_basis.dim == 1

@@ -17,7 +17,6 @@ from rootneg.params import (
     full_space,
     gallery_class,
     integral_roots,
-    reduced_word,
     value_in_fraction_of_z,
 )
 from rootneg.rootsys import (
@@ -35,8 +34,10 @@ from test_linalg import fraction_rref
 from test_rootsys import (
     act_by_inverse,
     compose,
+    from_word,
     inverse,
     minus_rho,
+    reduced_word,
     reflection_in,
     weyl_length,
 )
@@ -92,8 +93,8 @@ def test_equivalence_class_a2_contract_case():
         ((Q(-1, 2), Q(1)), (Q(0), Q(0))),
         ((Q(1), Q(-1, 2)), (Q(0), Q(0))),
     }
-    for w, mu in cls.members:
-        assert act(rs, w, lam) == mu
+    for word, mu in cls.members:
+        assert act(rs, from_word(rs, word), lam) == mu
 
 
 def test_equivalence_class_fully_integral_is_singleton():
@@ -207,10 +208,7 @@ def test_reduced_word_round_trip():
     for w in weyl_group(rs):
         word = reduced_word(rs, w)
         assert len(word) == weyl_length(rs, w)
-        rebuilt = identity_weyl(rs)
-        for i in word:
-            rebuilt = rebuilt.times_simple(rs, i - 1)
-        assert rebuilt == w
+        assert from_word(rs, word) == w
 
 
 def test_move_class_respects_integral_walls():
@@ -271,7 +269,7 @@ def test_equivalence_class_matches_breadth_first_search(name):
         )
         for denominator in (1, 2, 3, 6):
             cls = equivalence_class(rs, lam, denominator)
-            got = [(w.images, mu) for w, mu in cls.members]
+            got = [(from_word(rs, word).images, mu) for word, mu in cls.members]
             assert got == breadth_first_class(rs, lam, denominator), (name, lam, denominator)
 
 
@@ -303,7 +301,8 @@ WALK_TYPES = [
 
 @pytest.mark.parametrize("name", WALK_TYPES)
 def test_chamber_walk_records(name):
-    """Each chamber carries its inverse and the member it moves lam to."""
+    """Each chamber carries the word of its inverse and the member it moves
+    lam to."""
     rs = build_root_system(name)
     rng = random.Random(f"chamber_walk/{name}")
     for k in range(3 if rs.rank == 4 else 6):
@@ -315,10 +314,28 @@ def test_chamber_walk_records(name):
             walk = chamber_walk(rs, lam, denominator)
             assert [c.u for c in walk] == reference_gallery(rs, lam, denominator)
             for c in walk:
-                assert compose(c.u, c.w) == identity_weyl(rs), (name, lam, c.u)
+                w = from_word(rs, c.w_word)
+                assert compose(c.u, w) == identity_weyl(rs), (name, lam, c.u)
                 assert c.d == lam._scaled[0]
                 assert c.mu == act_by_inverse(rs, c.u, lam), (name, lam, c.u)
-                assert c.mu == act(rs, c.w, lam), (name, lam, c.u)
+                assert c.mu == act(rs, w, lam), (name, lam, c.u)
+
+
+@pytest.mark.parametrize("name", WALK_TYPES + ["D5"])
+def test_chamber_walk_words_match_the_peel(name):
+    """The words the walk carries are the peeled words of w = u^{-1} and of u."""
+    rs = build_root_system(name)
+    rng = random.Random(f"chamber_words/{name}")
+    for k in range(3 if rs.rank >= 4 else 6):
+        lam = Parameter(
+            tuple(Q(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 5, 6, 7)))
+                  for _ in range(rs.rank)),
+            tuple(Q(rng.randint(-1, 1), 2) if k % 3 == 2 else Q(0) for _ in range(rs.rank)),
+        )
+        for denominator in (1, 2, 3, 6):
+            for c in chamber_walk(rs, lam, denominator):
+                assert c.w_word == reduced_word(rs, inverse(rs, c.u)), (name, lam, c.u)
+                assert c.u_word == reduced_word(rs, c.u), (name, lam, c.u)
 
 
 def test_chamber_walk_validates_inputs():

@@ -14,7 +14,6 @@ from rootneg.rootsys import (
     act,
     build_root_system,
     check_enumerable,
-    descent_word,
     dual,
     identity_weyl,
     pairing,
@@ -43,6 +42,37 @@ def compose(u, v):
 def reflection_in(rs, alpha):
     """The reflection in the wall of alpha, by its images of the simple roots."""
     return WeylElement(tuple(rs.reflect(alpha, a) for a in rs.simple_roots))
+
+
+def descent_word(rs, w):
+    """Right descents peeled off w, first to last (0-based indices): the
+    peel oracle for the words that chamber_walk carries.
+
+    Each step takes the least i with w(alpha_i) negative and replaces w by
+    w s_i, until w is the identity; for the word (a, b, ..., z) this gives
+    w = s_z ... s_b s_a, a reduced expression.
+    """
+    word = []
+    while True:
+        i = next((i for i, img in enumerate(w.images) if sum(img) < 0), None)
+        if i is None:
+            return tuple(word)
+        word.append(i)
+        w = w.times_simple(rs, i)
+
+
+def reduced_word(rs, w):
+    """The reduced word for w (1-based) that the CLI prints: the descent
+    word reversed, so that w = s_a ... s_z for the word (a, ..., z)."""
+    return tuple(i + 1 for i in reversed(descent_word(rs, w)))
+
+
+def from_word(rs, word):
+    """s_a ... s_z for the 1-based word (a, ..., z)."""
+    w = identity_weyl(rs)
+    for i in word:
+        w = w.times_simple(rs, i - 1)
+    return w
 
 
 def inverse(rs, w):
