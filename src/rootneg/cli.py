@@ -35,7 +35,6 @@ from .params import (
     chamber_count,
     chamber_walk,
     edge,
-    equivalence_class,
 )
 from .rootsys import (
     WEYL_ORDER_LIMIT,
@@ -52,12 +51,8 @@ from .verification import run_all
 JsonDoc = dict
 
 
-def _q_str(x) -> str:
-    return str(Q(x))
-
-
 def _q_list(xs) -> list[str]:
-    return [_q_str(x) for x in xs]
+    return [str(x) for x in xs]
 
 
 def _q_rows(rows) -> list[list[str]]:
@@ -253,7 +248,7 @@ def _cmd_class(args) -> tuple[JsonDoc, int]:
     lam = _parameter(rs, args)
     n = _denominator(args)
     _check_chambers(rs, lam)
-    cls = equivalence_class(rs, lam, n)
+    walk = sorted(chamber_walk(rs, lam, n), key=lambda c: (c.re, c.im))
     # the gallery at denominator 1 has one chamber per coset of W(Sigma)
     count = chamber_count(rs, lam)
     e = edge(rs, lam, n)
@@ -263,8 +258,9 @@ def _cmd_class(args) -> tuple[JsonDoc, int]:
         "im": _q_list(lam.im),
         "denominator": n,
         "members": [
-            {"word": list(word), "re": _q_list(mu.re), "im": _q_list(mu.im)}
-            for word, mu in cls.members
+            {"word": list(c.w_word), "re": [str(Q(x, c.d)) for x in c.re],
+             "im": [str(Q(x, c.d)) for x in c.im]}
+            for c in walk
         ],
         "gallery_size": count,
         "chamber_count": count,
@@ -592,6 +588,11 @@ def run(argv: Sequence[str]) -> int:
         args = parser.parse_args(_join_value_flags(argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    # argparse drops a value that is exactly "--" and stores an empty list
+    bare = next((name for name, value in vars(args).items() if value == []), None)
+    if bare is not None:
+        print(f"error: --{bare.replace('_', '-')} needs a value other than '--'", file=sys.stderr)
+        return 2
     try:
         doc, code = _COMMANDS[args.command](args)
     except (ValueError, CapacityError) as exc:

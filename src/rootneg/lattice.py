@@ -250,10 +250,3 @@ def quotient_divisors(
         raise ValueError("sub-lattice has lower rank than the lattice")
     return divisors
 
-
-def lattice_index(sub: Iterable[Sequence], sup: Iterable[Sequence]) -> int:
-    """Index of the sub-span in the sup-span (product of the divisors)."""
-    out = 1
-    for d in quotient_divisors(sub, sup):
-        out *= d
-    return out

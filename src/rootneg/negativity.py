@@ -21,12 +21,13 @@ from dataclasses import dataclass
 from typing import Literal, Optional, Union
 
 from . import linalg
-from .lattice import hermite_row_basis, lattice_index
+from .lattice import hermite_row_basis
 from .linalg import Vec
 from .params import (
     Chamber,
     SubspaceBasis,
     chamber_walk,
+    edge,
     full_space,
     integral_roots,
 )
@@ -37,7 +38,6 @@ from .rootsys import (
     RootSystemSpec,
     _cartan_from_gram,
     _component_gram,
-    pairing,
     root_coords_of,
 )
 from .simplex import feasible_mixed
@@ -108,7 +108,9 @@ class FundamentalLemmaReport:
     vacuous is set when the class fails the requested negativity mode; the
     remaining fields are still computed.  n_lattice is the index of the root
     lattice of the parabolic closure inside the weight lattice of the
-    integral root set (the dual lattice of its coroots within their span).
+    integral root set (the dual lattice of its coroots within their span):
+    the |det| of the matrix of pairings between a Z-basis of the closure's
+    roots and one of the integral coroots.
     """
 
     vacuous: bool
@@ -243,48 +245,20 @@ def _class_negativity(rs: RootSystem, walk: tuple[Chamber, ...], mode: Mode,
     return ClassNegativityReport(all(m.verdict.feasible for m in members), tuple(members))
 
 
-def weight_lattice_basis(
-    rs: RootSystem, sigma: tuple[Root, ...]
-) -> tuple[tuple[Root, ...], tuple[Vec, ...]]:
-    """Basis of the dual lattice of the integral coroots, inside their span.
-
-    Returns (span basis S of the integral roots, weight basis) where each
-    weight vector is written in coordinates over S.  The defining condition
-    is integral pairing against every integral coroot.
-    """
-    s_basis = span_basis_of_integral_roots(rs, sigma)
-    if not s_basis:
-        return (), ()
-    coroot_rows = [
-        rs.coroot_coweight_coords(b) for b in sigma if sum(b) > 0
-    ]
-    coroot_basis = hermite_row_basis(coroot_rows)
-    g = [
-        [linalg.dot(linalg.vec(s), linalg.vec(m)) for m in coroot_basis]
-        for s in s_basis
-    ]
-    g_inv = linalg.inverse(linalg.mat(g))
-    return s_basis, tuple(g_inv)
-
-
 def _closure_lattice_index(
-    rs: RootSystem, sigma: tuple[Root, ...], closure: Subsystem
+    rs: RootSystem, sigma_pos: list[Root], closure: Subsystem
 ) -> int:
-    """Index of the parabolic-closure root lattice in the weight lattice,
-    for the integral roots sigma and their parabolic closure."""
-    s_basis, weight_basis = weight_lattice_basis(rs, sigma)
-    if not s_basis:
+    """Index of the closure's root lattice in the dual of the coroot lattice
+    of sigma_pos within their span: |det| of the pairings between Z-bases
+    of the two (Cassels, An Introduction to the Geometry of Numbers, ch. I)."""
+    coroots = hermite_row_basis(rs.coroot_coweight_coords(b) for b in sigma_pos)
+    roots = hermite_row_basis(g for g in closure.roots if sum(g) > 0)
+    if len(roots) != len(coroots):
+        raise AssertionError("parabolic closure left the span of its roots")
+    if not roots:
         return 1
-    cols = list(zip(*[linalg.vec(s) for s in s_basis]))
-    root_gens = []
-    for gamma in closure.roots:
-        if sum(gamma) <= 0:
-            continue
-        sol = linalg.solve(cols, linalg.vec(gamma))
-        if sol is None:
-            raise AssertionError("parabolic closure left the span of its roots")
-        root_gens.append(sol)
-    return lattice_index(root_gens, weight_basis)
+    return int(abs(linalg.det([[sum(x * y for x, y in zip(g, c)) for c in coroots]
+                                for g in roots])))
 
 
 def verify_fundamental_lemma(
@@ -310,10 +284,8 @@ def verify_fundamental_lemma(
     gallery = walk if denominator == 1 else chamber_walk(rs, lam)
     vacuous = not _class_negativity(rs, walk, mode, subspaces, denominator).ok
 
-    sigma = integral_roots(rs, lam, denominator)
-    sigma_pos = [b for b in sigma if sum(b) > 0]
-    edge_rows = [linalg.vec(b) for b in sigma_pos]
-    edge_basis = SubspaceBasis(rs.rank, linalg.nullspace(edge_rows, ncols=rs.rank))
+    sigma_pos = [b for b in integral_roots(rs, lam, denominator) if sum(b) > 0]
+    edge_basis = edge(rs, lam, denominator)
 
     containing: Optional[tuple[tuple[int, ...], SubspaceBasis]] = None
     edge_ints = [linalg.scaled_to_int(v) for v in edge_basis.vectors]
@@ -331,20 +303,16 @@ def verify_fundamental_lemma(
     re_zero = all(linalg.dot(re_c, v) == 0 for v in edge_basis.vectors)
 
     closure = parabolic_closure(rs, sigma_pos)
-    n_lattice = _closure_lattice_index(rs, sigma, closure)
-    integrality_ok = all(
-        (n_lattice * pairing(rs, lam, beta)[0]).denominator == 1
-        for beta in rs.positive_roots
-    )
+    n_lattice = _closure_lattice_index(rs, sigma_pos, closure)
+    re_lam = Parameter(lam.re, (0,) * rs.rank)
+    integrality_ok = len(integral_roots(rs, re_lam, n_lattice)) == len(rs.roots)
 
     im_zero: Optional[bool] = None
     if mode == "integral":
         im_zero = all(linalg.dot(im_c, v) == 0 for v in edge_basis.vectors)
 
-    edge_trivial: Optional[bool] = None
-    if mode == "strict":
-        coroot_rank = linalg.int_rank(rs.coroot_coweight_coords(b) for b in sigma_pos)
-        edge_trivial = edge_basis.dim == 0 and coroot_rank == rs.rank
+    # no edge means full root rank, which the coroots 2G beta / (beta, beta) share
+    edge_trivial = edge_basis.dim == 0 if mode == "strict" else None
 
     return FundamentalLemmaReport(
         vacuous=vacuous,

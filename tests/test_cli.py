@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -507,3 +508,110 @@ def test_reimport_releases_the_old_modules():
         capture_output=True, text=True, timeout=120, check=True,
     )
     assert done.stdout.strip() == "dead"
+
+
+_BARE_DASH_ARGVS = (
+    ("snf", "--matrix", "--"),
+    ("class", "--type", "A2", "--re", "--"),
+    ("edge", "--type", "A2", "--re", "1,1", "--im", "--"),
+    ("negativity", "--type", "A2", "--re", "1,1", "--mode", "weak", "--subspace", "--"),
+    ("exponent", "--spherical", "--", "--mu", "1", "--rhoq", "0", "--nu", "0"),
+)
+
+
+@pytest.mark.parametrize("argv", _BARE_DASH_ARGVS, ids=[a[0] for a in _BARE_DASH_ARGVS])
+def test_a_bare_double_dash_value_is_refused(capsys, argv):
+    # argparse drops a value of exactly "--" and hands the command an empty list
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+# rank <= 3 types, each with its rank, and names that must be refused
+_FUZZ_TYPES = {"A1": 1, "A2": 2, "A3": 3, "B2": 2, "B3": 3, "C3": 3, "D3": 3, "G2": 2,
+               "BC1": 1, "BC2": 2, "BC3": 3, "A1xA1": 2, "A1xG2": 3, "BC1xA2": 3}
+_FUZZ_BAD_TYPES = ("BC0", "G3", "Z9", "E5", "A0", "A2x", "", "--", "x")
+_FUZZ_BAD_VALUES = ("--", "", " ", "-", ",", ";", "1/0", "a", "1,,2", "1;2", "1,2;3",
+                    "--x", "-1/2,", "0x1", "1e3", "nan", "1/2/3")
+_FUZZ_FLAGS = {
+    "build": ("--type",),
+    "nsigma": ("--type", "--method", "--cache-dir"),
+    "subsystems": ("--type", "--method"),
+    "class": ("--type", "--re", "--im", "--denominator"),
+    "gallery": ("--type", "--re", "--im"),
+    "edge": ("--type", "--re", "--im", "--denominator"),
+    "negativity": ("--type", "--re", "--im", "--mode", "--subspace", "--denominator"),
+    "fundamental": ("--type", "--re", "--im", "--mode", "--subspace", "--denominator"),
+    "exponent": ("--spherical", "--mu", "--rhoq", "--nu", "--n"),
+    "rank-one-bound": ("--type",),
+    "snf": ("--matrix",),
+    "verify": (),
+}
+_FUZZ_VALUE_FLAGS = sorted({f for flags in _FUZZ_FLAGS.values() for f in flags})
+
+
+def _fuzz_argv(rng, cache_dir):
+    command = rng.choice(sorted(_FUZZ_FLAGS))
+    type_name = rng.choice(sorted(_FUZZ_TYPES))
+    rank = _FUZZ_TYPES[type_name]
+    width = rng.choice([rank] * 4 + [rank + 1, max(rank - 1, 1)])
+    noise = rng.choice([0.0, 0.1, 0.3])  # the chance that a flag loses or spoils its value
+
+    def row():
+        return ",".join(rng.choice(["0", "1", "-1", "2", "1/2", "-1/2", "1/3", "-2/3", "1/6"])
+                        for _ in range(width))
+
+    def matrix():
+        return ";".join(row() for _ in range(rng.randint(0, 3)))
+
+    good = {
+        "--type": lambda: type_name, "--re": row, "--im": row, "--mu": row, "--rhoq": row,
+        "--nu": row, "--subspace": matrix, "--spherical": matrix,
+        "--matrix": lambda: ";".join(",".join(str(rng.randint(-4, 4)) for _ in range(width))
+                                     for _ in range(rng.randint(1, 3))),
+        "--denominator": lambda: rng.choice(["1", "2", "3", "6", "0", "-2"]),
+        "--n": lambda: rng.choice(["1", "2", "6", "0", "-1"]),
+        "--mode": lambda: rng.choice(["strict", "weak", "integral", "loose"]),
+        "--method": lambda: rng.choice(["bds", "brute_force", "fast"]),
+        "--cache-dir": lambda: cache_dir,
+    }
+    flags = [f for f in _FUZZ_FLAGS[command] if rng.random() >= noise / 2]
+    if command == "verify" or rng.random() < 0.1:
+        # verify runs the whole property suite, so it only ever gets a stray flag
+        flags.append(rng.choice(_FUZZ_VALUE_FLAGS))
+    if rng.random() < 0.2:
+        flags.append("--pretty")
+    argv = [command]
+    for flag in flags:
+        argv.append(flag)
+        roll = rng.random()
+        if flag == "--pretty" or roll < noise / 6:
+            continue  # the value is missing
+        if roll < noise:
+            argv.append(rng.choice(_FUZZ_BAD_TYPES if flag == "--type" else _FUZZ_BAD_VALUES))
+        else:
+            argv.append(good[flag]())
+    if rng.random() < 0.2:
+        tail = argv[1:]
+        rng.shuffle(tail)
+        argv = argv[:1] + tail
+    return argv
+
+
+def test_seeded_argv_fuzz_exits_0_2_or_3(capsys, monkeypatch, tmp_path):
+    # a malformed --cache-dir value is a relative path that nsigma writes to
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(20261019)
+    codes = []
+    for _ in range(2000):
+        argv = _fuzz_argv(rng, str(tmp_path))
+        try:
+            code = run(argv)
+        except BaseException as exc:  # SystemExit too: run returns its code
+            pytest.fail(f"{argv!r} raised {exc!r}")
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), argv
+        assert "Traceback" not in err, argv
+        codes.append(code)
+    # the draw reaches both the computations and the refusals
+    assert codes.count(0) > 200 and codes.count(2) > 200

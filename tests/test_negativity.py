@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction as Q
 
@@ -15,10 +16,11 @@ from rootneg.negativity import (
     rank_one_bound,
     span_basis_of_integral_roots,
     verify_fundamental_lemma,
-    weight_lattice_basis,
 )
-from rootneg.params import SubspaceBasis, full_space, gallery_class, integral_roots
+from rootneg.lattice import hermite_row_basis, quotient_divisors
+from rootneg.params import SubspaceBasis, edge, full_space, gallery_class, integral_roots
 from rootneg.rootsys import Parameter, build_root_system
+from rootneg.subsystems import parabolic_closure
 from test_linalg import fraction_det
 from test_rootsys import minus_rho
 
@@ -103,6 +105,91 @@ def test_class_negativity_subspace_mapping_must_cover():
         check_class_negativity(rs, lam, "weak", {lam: full_space(rs)})
     with pytest.raises(ValueError):
         check_class_negativity(rs, lam, "strict", full_space(rs))
+
+
+def weight_lattice_basis(rs, sigma):
+    """Oracle: (span basis S of the integral roots, basis of the dual lattice
+    of their coroots inside their span, in coordinates over S), by inverting
+    the Fraction Gram matrix of S against a Hermite basis of the coroots."""
+    s_basis = span_basis_of_integral_roots(rs, sigma)
+    if not s_basis:
+        return (), ()
+    coroot_basis = hermite_row_basis(rs.coroot_coweight_coords(b) for b in sigma if sum(b) > 0)
+    g = [[linalg.dot(s, m) for m in coroot_basis] for s in s_basis]
+    return s_basis, tuple(linalg.inverse(linalg.mat(g)))
+
+
+def closure_lattice_index_oracle(rs, sigma, closure):
+    """Oracle for negativity._closure_lattice_index: each positive closure
+    root solved over S, then the quotient of the weight lattice by them."""
+    s_basis, weight_basis = weight_lattice_basis(rs, sigma)
+    if not s_basis:
+        return 1
+    cols = list(zip(*[linalg.vec(s) for s in s_basis]))
+    root_gens = []
+    for gamma in closure.roots:
+        if sum(gamma) <= 0:
+            continue
+        sol = linalg.solve(cols, linalg.vec(gamma))
+        assert sol is not None, "parabolic closure left the span of its roots"
+        root_gens.append(sol)
+    return math.prod(quotient_divisors(root_gens, weight_basis))
+
+
+def _lattice_cases(name, count):
+    """(rs, lam) pairs: -rho, 0 and count seeded parameters with entries in
+    small halves, thirds and sixths, every third one with imaginary entries
+    drawn from 0 and 1/2."""
+    rs = build_root_system(name)
+    rng = random.Random(name)
+    entries = [Q(k, d) for d in (1, 2, 3, 6) for k in range(-7, 8)]
+    lams = [minus_rho(rs), Parameter.of([0] * rs.rank)]
+    for i in range(count):
+        im = [rng.choice([0, 0, Q(1, 2)]) for _ in range(rs.rank)] if i % 3 == 2 else None
+        re = [rng.choice(entries) for _ in range(rs.rank)]
+        lams.append(Parameter.of(re, im))
+    return rs, lams
+
+
+_LATTICE_TYPES = [("A2", 8), ("B2", 8), ("G2", 8), ("BC1", 6), ("BC2", 10), ("BC3", 10),
+                  ("C3", 6), ("D4", 6), ("F4", 6), ("B2xG2", 6), ("BC2xA1", 6), ("E7", 3)]
+
+
+@pytest.mark.parametrize("name, count", _LATTICE_TYPES, ids=[t for t, _ in _LATTICE_TYPES])
+def test_closure_lattice_index_matches_the_weight_lattice_oracle(name, count):
+    # the helper alone, never the walk: E7 parameters can have 10^5 chambers
+    rs, lams = _lattice_cases(name, count)
+    for lam in lams:
+        for n in (1, 2, 3, 6):
+            sigma = integral_roots(rs, lam, n)
+            sigma_pos = [b for b in sigma if sum(b) > 0]
+            closure = parabolic_closure(rs, sigma_pos)
+            expected = closure_lattice_index_oracle(rs, sigma, closure)
+            assert negativity._closure_lattice_index(rs, sigma_pos, closure) == expected, (lam, n)
+            # the old strict-mode test: a trivial edge and full-rank coroots
+            coroots = linalg.int_rank(rs.coroot_coweight_coords(b) for b in sigma_pos)
+            old_trivial = not linalg.nullspace(sigma_pos, ncols=rs.rank) and coroots == rs.rank
+            assert (edge(rs, lam, n).dim == 0) == old_trivial, (lam, n)
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "BC2", "BC3", "B2xG2"])
+def test_fundamental_report_matches_the_old_lattice_and_edge_checks(name):
+    rs, lams = _lattice_cases(name, 3)
+    for lam in lams:
+        for n in (1, 2, 3, 6):
+            report = verify_fundamental_lemma(rs, lam, "strict", denominator=n)
+            sigma = integral_roots(rs, lam, n)
+            sigma_pos = [b for b in sigma if sum(b) > 0]
+            expected = closure_lattice_index_oracle(rs, sigma, parabolic_closure(rs, sigma_pos))
+            assert report.n_lattice == expected, (lam, n)
+            assert report.integrality_ok == all(
+                (expected * rootsys.pairing(rs, lam, beta)[0]).denominator == 1
+                for beta in rs.positive_roots
+            ), (lam, n)
+            coroots = linalg.int_rank(rs.coroot_coweight_coords(b) for b in sigma_pos)
+            nullspace = linalg.nullspace(sigma_pos, ncols=rs.rank)
+            assert report.edge_trivial == (not nullspace and coroots == rs.rank), (lam, n)
+            assert report.edge_basis.vectors == nullspace, (lam, n)
 
 
 def test_span_basis_and_weight_lattice():
