@@ -41,12 +41,7 @@ from .rootsys import (
     root_coords_of,
 )
 from .simplex import feasible_mixed
-from .subsystems import (
-    Subsystem,
-    parabolic_closure,
-    reflection_closure,
-    n_of_subsystem,
-)
+from .subsystems import Subsystem, n_of_subsystem, parabolic_closure
 
 Mode = Literal["weak", "integral", "strict"]
 
@@ -328,14 +323,13 @@ def verify_fundamental_lemma(
 
 
 def integral_class_constant(rs: RootSystem, lam: Parameter, denominator: int = 1) -> int:
-    """The subsystem constant of the reflection closure of the integral roots.
+    """The subsystem constant of the integral roots, which are reflection-closed:
+    <lam, (s_a b)^v> = <lam, b^v> - <a, b^v> <lam, a^v>.
 
     Requires the integral root set to have full rank (as it does whenever the
     strict predicate holds for the class).
     """
-    sigma = integral_roots(rs, lam, denominator)
-    closed = reflection_closure(rs, (rs.table.index[b] for b in sigma))
-    return n_of_subsystem(rs, (rs.roots[b] for b in closed))
+    return n_of_subsystem(rs, integral_roots(rs, lam, denominator))
 
 
 # ---------------------------------------------------------------------------

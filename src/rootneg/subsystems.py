@@ -6,10 +6,11 @@ notion used when enumerating full-rank subsystems, so that (for example) the
 short A1xA1 inside B2 is found.  :func:`parabolic_closure` produces the
 stricter notion that additionally demands closure under root sums.
 
-The census holds subsets as frozensets of root numbers and reflects by rows
-of ``rs.table.refl``; sorted numbers sort as the roots do, so it visits, keys
-and picks representatives in the vectors' order.  Component splits, labels and
-parabolic closures stay on vectors for the commands that never build the table.
+The census holds subsets as frozensets of root numbers and reads closures,
+components, keys, labels and divisors off rows of ``rs.table.refl``; sorted
+numbers sort as the roots do, so it visits, keys and picks representatives in
+the vectors' order.  subsystem_spec and parabolic_closure stay on vectors for
+the commands that never build the table.
 
 Full-rank subsystems are listed up to W-conjugacy, exactly at every rank
 and without enumerating W: a subsystem's class is keyed by the dominant
@@ -26,7 +27,6 @@ system is the lcm over all conjugacy classes of full-rank subsystems.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Literal, Optional
 
@@ -97,8 +97,9 @@ def parabolic_closure(rs: RootSystem, roots: Iterable[Root]) -> Subsystem:
     return Subsystem(members, subsystem_label(rs, members))
 
 
-def component_split(rs: RootSystem, roots: Iterable[Root]) -> tuple[RootSet, ...]:
-    """Connected components under non-orthogonality, sorted for determinism.
+def component_split(rs: RootSystem, roots: Iterable[Root]) -> tuple[tuple[RootSet, int], ...]:
+    """Connected components under non-orthogonality with their ranks, sorted
+    for determinism.
 
     Components span orthogonal subspaces, so a root meets a group exactly
     when it pairs with one of the at most rank roots spanning the groups, and
@@ -118,23 +119,21 @@ def component_split(rs: RootSystem, roots: Iterable[Root]) -> tuple[RootSet, ...
         if echelon.add(r):
             span.append(r)
         groups = rest + [(span, members)]
-    return tuple(sorted((frozenset(m) for _, m in groups), key=sorted))
+    return tuple(sorted(((frozenset(m), len(s)) for s, m in groups), key=lambda g: sorted(g[0])))
 
 
 # ---------------------------------------------------------------------------
 # Component classification
 
-def _classify_component(rs: RootSystem, comp: RootSet) -> tuple[str, int]:
-    """(family, rank) of one irreducible component, canonicalized.
+def _classify_component(rs: RootSystem, comp: RootSet, r: int) -> tuple[str, int]:
+    """(family, rank) of one irreducible component of rank r, canonicalized.
 
     Isomorphic presentations collapse: rank-1 components are A1, rank-2
     two-length components are B2, simply-laced rank-3 components are A3.
     """
-    r = linalg.int_rank(comp)
     count = len(comp)
     if any(rs.double_of(beta) in comp for beta in comp):
-        expected = 2 * r * (r + 1)
-        if count != expected:
+        if count != 2 * r * (r + 1):
             raise AssertionError(f"bad non-reduced component of size {count}, rank {r}")
         return ("BC", r)
     lengths = sorted(set(rs.length_sq(beta) for beta in comp))
@@ -173,13 +172,19 @@ def subsystem_spec(rs: RootSystem, roots: Iterable[Root]) -> Optional[RootSystem
     items = frozenset(tuple(r) for r in roots)
     if not items:
         return None
-    comps = component_split(rs, items)
-    return RootSystemSpec(tuple(_classify_component(rs, c) for c in comps))
+    return RootSystemSpec(tuple(_classify_component(rs, *c) for c in component_split(rs, items)))
 
 
 def subsystem_label(rs: RootSystem, roots: Iterable[Root]) -> str:
     spec = subsystem_spec(rs, roots)
     return str(spec) if spec is not None else "empty"
+
+
+def _label(rs: RootSystem, s: IndexSet) -> str:
+    """subsystem_label of a reflection-closed set of root numbers."""
+    return str(RootSystemSpec(tuple(
+        _classify_component(rs, {rs.roots[b] for b in members}, len(simple))
+        for simple, members in _components(rs, s))))
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +212,23 @@ def _simple_system(rs: RootSystem, reduced: IndexSet) -> tuple[int, ...]:
     refl = rs.table.refl
     pos = sorted(b for b in reduced if b >= first_positive)
     return tuple(a for a in pos if all(refl[a][b] >= first_positive for b in pos if b != a))
+
+
+def _components(rs: RootSystem, s: IndexSet) -> list[tuple[tuple[int, ...], IndexSet]]:
+    """(simple roots, members) of each irreducible component of a
+    reflection-closed set.  A simple root joins the groups of the simple roots
+    it is not orthogonal to (refl[a][b] != b); so does every member, which is
+    a nonzero vector in the span of its component's simple roots."""
+    refl = rs.table.refl
+    groups: list[tuple[list[int], list[int]]] = []
+    for a in _simple_system(rs, _indivisible_part(rs, s, "root")):
+        joined = [g for g in groups if any(refl[a][b] != b for b in g[0])]
+        groups = [g for g in groups if g not in joined]
+        groups.append(([a, *(b for g in joined for b in g[0])], []))
+    rows = [(refl[a], members) for simple, members in groups for a in simple]
+    for beta in s:
+        next(members for row, members in rows if row[beta] != beta).append(beta)
+    return [(tuple(simple), frozenset(members)) for simple, members in groups]
 
 
 def _component_affine(
@@ -237,11 +259,8 @@ def _component_affine(
 def _saturate(rs: RootSystem, s: IndexSet) -> IndexSet:
     """Adjoin ambient doubles and halves of members, then re-close."""
     table = rs.table
-    extra = {table.double[b] for b in s} | {table.half[b] for b in s}
-    extra.discard(None)
-    if extra <= s:
-        return s
-    return reflection_closure(rs, s | extra)
+    extra = ({table.double[b] for b in s} | {table.half[b] for b in s}) - {None}
+    return s if extra <= s else reflection_closure(rs, s | extra)
 
 
 def _children(rs: RootSystem, s: IndexSet) -> set[IndexSet]:
@@ -250,14 +269,12 @@ def _children(rs: RootSystem, s: IndexSet) -> set[IndexSet]:
     The components of s span orthogonal subspaces, so closing the kept nodes
     of one component and adjoining the others is the closure of their union.
     """
-    roots, index = rs.roots, rs.table.index
     out: set[IndexSet] = set()
-    for comp in component_split(rs, (roots[b] for b in s)):
-        comp = frozenset(index[b] for b in comp)
+    for _simple, comp in _components(rs, s):
         rest = s - comp
         for side in ("root", "coroot"):
             simple, top, _marks = _component_affine(rs, comp, side)
-            nodes = simple + (len(roots) - 1 - top,)
+            nodes = simple + (len(rs.roots) - 1 - top,)
             for drop in range(len(nodes)):
                 child = rest | reflection_closure(rs, nodes[:drop] + nodes[drop + 1:])
                 out |= {child, _saturate(rs, child)}
@@ -286,34 +303,21 @@ def _conjugacy_key(rs: RootSystem, s: IndexSet) -> tuple:
     their coordinate i only.
     """
     roots, table = rs.roots, rs.table
-    refl = table.refl
-    pos = [b for b in s if b >= len(roots) // 2]
-    simple = list(_simple_system(rs, _indivisible_part(rs, s, "root")))
+    comps = _components(rs, s)
+    simple = [a for sim, _ in comps for a in sim]
+    if len(simple) != rs.rank:
+        raise AssertionError("subsystem lost full rank")
     flags = [table.double[a] in s for a in simple]
 
-    # a positive root lies in the component of every simple root it is not
-    # orthogonal to; components are joined over the simple roots
-    parent = list(range(len(simple)))
-
-    def find(k: int) -> int:
-        while parent[k] != k:
-            k = parent[k]
-        return k
-
-    for a in range(len(simple)):
-        for b in range(a + 1, len(simple)):
-            if refl[simple[a]][simple[b]] != simple[b]:
-                parent[find(a)] = find(b)
-    comps = [
-        find(next(k for k, a in enumerate(simple) if refl[a][beta] != beta))
-        for beta in pos
-    ]
-    size = Counter(comps)
-    dom = [sum(roots[b][j] for b in pos) for j in range(rs.rank)]
-    v2 = [sum(size[c] * roots[b][j] for c, b in zip(comps, pos)) for j in range(rs.rank)]
+    dom, v2 = [0] * rs.rank, [0] * rs.rank
+    for _, members in comps:
+        pos = [roots[b] for b in members if b >= len(roots) // 2]
+        two_rho = [sum(col) for col in zip(*pos)]
+        dom = [x + y for x, y in zip(dom, two_rho)]
+        v2 = [x + len(pos) * y for x, y in zip(v2, two_rho)]
 
     cartan = rs.cartan
-    simple_rows = [refl[table.index[a]] for a in rs.simple_roots]
+    simple_rows = [table.refl[table.index[a]] for a in rs.simple_roots]
 
     def coroot_value(v: list[int], i: int) -> int:
         return sum(x * c for x, c in zip(v, cartan[i]))
@@ -370,23 +374,17 @@ def full_rank_subsystems(
     sorted root list among the candidates met (brute force) or by the first
     one reached in the sorted walk (bds).
     """
-    if method == "brute_force":
-        candidates = _brute_force_sets(rs)
-    elif method == "bds":
-        candidates = None
-    else:
+    if method not in ("bds", "brute_force"):
         raise ValueError(f"unknown method {method!r}")
-
     roots = rs.roots
     reps: dict[tuple, tuple[int, ...]] = {}
-    if candidates is not None:
-        for members in sorted(tuple(sorted(c)) for c in candidates):
+    if method == "brute_force":
+        for members in sorted(tuple(sorted(c)) for c in _brute_force_sets(rs)):
             reps.setdefault(_conjugacy_key(rs, frozenset(members)), members)
     else:
         # a child reached from several parents is queued (and keyed) once
-        full = frozenset(range(len(roots)))
-        queued = {full}
-        queue = [(tuple(range(len(roots))), full)]
+        queue = [(tuple(range(len(roots))), frozenset(range(len(roots))))]
+        queued = {queue[0][1]}
         while queue:
             queue.sort()
             members, s = queue.pop(0)
@@ -394,14 +392,13 @@ def full_rank_subsystems(
             if key in reps:
                 continue
             reps[key] = members
+            # the key refuses a child that lost full rank
             for child in _children(rs, s) - queued:
-                if linalg.int_rank(roots[b] for b in child) != rs.rank:
-                    raise AssertionError("child subsystem lost full rank")
                 queued.add(child)
                 queue.append((tuple(sorted(child)), child))
 
-    subs = [tuple(roots[b] for b in members) for members in reps.values()]
-    out = [Subsystem(sub, subsystem_label(rs, sub)) for sub in subs]
+    out = [Subsystem(tuple(roots[b] for b in members), _label(rs, frozenset(members)))
+           for members in reps.values()]
     return tuple(sorted(out, key=lambda sub: (sub.label, sub.roots)))
 
 
@@ -427,22 +424,31 @@ def _brute_force_sets(rs: RootSystem) -> set[IndexSet]:
 # ---------------------------------------------------------------------------
 # Lattice constants
 
+def _coroot_basis(rs: RootSystem, s: IndexSet) -> list[tuple[int, ...]]:
+    """Coweight rows of the simple coroots of a reflection-closed set, a basis
+    of its coroot lattice (the coroot of 2 beta is half that of beta)."""
+    roots = rs.roots
+    return [rs.coroot_coweight_coords(roots[a])
+            for a in _simple_system(rs, _indivisible_part(rs, s, "coroot"))]
+
+
 def class_divisors(rs: RootSystem, roots: Iterable[Root]) -> tuple[int, ...]:
     """Elementary divisors of (ambient coroot lattice) / (subsystem coroot
-    lattice), from one Smith normal form.
+    lattice), from one Smith normal form of the simple coroots.
 
-    The subsystem must have full rank; its coroots then span a finite-index
-    sublattice.
+    The subsystem must be reflection-closed and have full rank; its coroots
+    then span a finite-index sublattice.  Anything else is refused with a
+    ValueError.
     """
-    items = sorted(set(tuple(r) for r in roots))
+    index = rs.table.index
+    items = [tuple(r) for r in roots]
     for r in items:
-        if r not in rs._root_set:
+        if r not in index:
             raise ValueError(f"{r} is not a root")
-    if linalg.int_rank(items) != rs.rank:
-        raise ValueError("subsystem does not have full rank")
-    sub = [rs.coroot_coweight_coords(b) for b in items if sum(b) > 0]
-    sup = [rs.coroot_coweight_coords(b) for b in rs.positive_roots]
-    return quotient_divisors(sub, sup)
+    s = frozenset(index[r] for r in items)
+    if reflection_closure(rs, s) != s:
+        raise ValueError("subsystem is not reflection-closed")
+    return quotient_divisors(_coroot_basis(rs, s), _coroot_basis(rs, frozenset(index.values())))
 
 
 def n_of_subsystem(rs: RootSystem, roots: Iterable[Root]) -> int:
@@ -455,7 +461,10 @@ def census(
     rs: RootSystem, method: Literal["bds", "brute_force"] = "bds"
 ) -> tuple[tuple[Subsystem, tuple[int, ...]], ...]:
     """Every full-rank subsystem class with its divisor chain."""
-    return tuple((s, class_divisors(rs, s.roots)) for s in full_rank_subsystems(rs, method))
+    index = rs.table.index
+    ambient = _coroot_basis(rs, frozenset(index.values()))
+    return tuple((s, quotient_divisors(_coroot_basis(rs, frozenset(map(index.get, s.roots))),
+                                       ambient)) for s in full_rank_subsystems(rs, method))
 
 
 def n_sigma(rs: RootSystem, method: Literal["bds", "brute_force"] = "bds") -> int:

@@ -46,7 +46,7 @@ from .rootsys import (
     root_coords_of,
     weyl_group,
 )
-from .subsystems import full_rank_subsystems, n_of_subsystem
+from .subsystems import census
 
 #: real coordinate values of the standard rank-2 grid
 REAL_GRID = (Q(0), Q(1, 3), Q(-1, 3), Q(1, 2), Q(-1, 2), Q(1), Q(-1), Q(3, 2), Q(-3, 2))
@@ -536,12 +536,9 @@ def check_bds_against_brute_force(
     for type_name in types:
         rs = build_root_system(type_name)
         checked += 1
-        by_method = {}
-        for method in ("bds", "brute_force"):
-            subs = full_rank_subsystems(rs, method)
-            by_method[method] = sorted(
-                (s.label, n_of_subsystem(rs, s.roots)) for s in subs
-            )
+        # a divisor chain's lcm is its last divisor
+        by_method = {method: sorted((s.label, d[-1]) for s, d in census(rs, method))
+                     for method in ("bds", "brute_force")}
         if by_method["bds"] != by_method["brute_force"]:
             failures.append(
                 f"{type_name}: bds {by_method['bds']} vs brute force {by_method['brute_force']}"

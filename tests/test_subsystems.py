@@ -9,6 +9,7 @@ from fractions import Fraction as Q
 import pytest
 
 from rootneg import linalg, subsystems
+from rootneg.lattice import quotient_divisors
 from rootneg.params import integral_roots
 from rootneg.rootsys import Parameter, RootSystem, build_root_system, identity_weyl, weyl_group
 from rootneg.subsystems import (
@@ -16,8 +17,10 @@ from rootneg.subsystems import (
     _brute_force_sets,
     _children,
     _component_affine,
+    _components,
     _conjugacy_key,
     _indivisible_part,
+    _label,
     _side_coords,
     census,
     class_divisors,
@@ -119,7 +122,7 @@ def test_parabolic_closure_fills_the_span():
 
 def test_component_split():
     rs = build_root_system("B2")
-    comps = component_split(rs, _long_a1xa1(rs))
+    comps = [c for c, _rank in component_split(rs, _long_a1xa1(rs))]
     assert sorted(sorted(c) for c in comps) == [
         [(-1, -2), (1, 2)],
         [(-1, 0), (1, 0)],
@@ -128,7 +131,8 @@ def test_component_split():
 
 
 def _union_find_split(rs, roots):
-    """Components by union-find over every pair of roots: the O(|S|^2) oracle."""
+    """Components by union-find over every pair of roots, each with its rank
+    by an echelon: the O(|S|^2) oracle."""
     items = sorted(set(tuple(r) for r in roots))
     parent = list(range(len(items)))
 
@@ -145,7 +149,8 @@ def _union_find_split(rs, roots):
     groups = {}
     for i, r in enumerate(items):
         groups.setdefault(find(i), set()).add(r)
-    return tuple(sorted((frozenset(g) for g in groups.values()), key=sorted))
+    return tuple(sorted(((frozenset(g), linalg.int_rank(g)) for g in groups.values()),
+                        key=lambda c: sorted(c[0])))
 
 
 @pytest.mark.parametrize(
@@ -271,7 +276,7 @@ def test_affine_climb_matches_solving(name):
     rs = build_root_system(name)
     seen = 0
     for s in _bds_candidates(rs):
-        for comp in component_split(rs, _vectors(rs, s)):
+        for comp, _rank in component_split(rs, _vectors(rs, s)):
             for side in ("root", "coroot"):
                 comp_numbers = _numbers(rs, comp)
                 expected = _affine_by_solving(rs, comp_numbers, side)
@@ -284,7 +289,7 @@ def test_affine_diagram_splits_products():
     rs = build_root_system("A1xA1")
     comps = component_split(rs, rs.roots)
     assert len(comps) == 2
-    assert [_affine(rs, c, "root")[2] for c in comps] == [(1,), (1,)]
+    assert [_affine(rs, c, "root")[2] for c, _rank in comps] == [(1,), (1,)]
 
 
 def test_bds_keys_each_candidate_once(monkeypatch):
@@ -302,16 +307,16 @@ def test_bds_keys_each_candidate_once(monkeypatch):
 
 #: the census functions that reflect and pair roots through the root table
 _TABLE_CODE = {
-    "full_rank_subsystems", "_children", "_saturate", "reflection_closure",
-    "_brute_force_sets", "_conjugacy_key", "_component_affine", "_simple_system",
-    "_indivisible_part",
+    "census", "full_rank_subsystems", "_children", "_saturate", "reflection_closure",
+    "_brute_force_sets", "_conjugacy_key", "_components", "_label", "_component_affine",
+    "_simple_system", "_indivisible_part", "class_divisors", "_divisors", "_coroot_basis",
 }
 
 
 def _refuse_in_table_code(monkeypatch, name):
     """Make RootSystem.<name> raise when the census code above calls it
     (directly or from one of its comprehensions); other callers, such as
-    component_split and the labels, keep the vector method."""
+    component_split and subsystem_spec, keep the vector method."""
     original = getattr(RootSystem, name)
 
     def guarded(rs, *args):
@@ -334,10 +339,14 @@ def _refuse_in_table_code(monkeypatch, name):
 def test_census_reflects_by_table_rows(monkeypatch, name, methods):
     rs = build_root_system(name)
     expected = {method: full_rank_subsystems(rs, method) for method in methods}
+    chains = {method: census(rs, method) for method in methods}
     _refuse_in_table_code(monkeypatch, "reflect")
     _refuse_in_table_code(monkeypatch, "root_pairing")
     for method in methods:
         assert full_rank_subsystems(rs, method) == expected[method]
+        assert census(rs, method) == chains[method]
+        assert [class_divisors(rs, s.roots) for s in expected[method]] \
+            == [d for _, d in chains[method]]
 
 
 CLASS_TABLES = {
@@ -403,6 +412,22 @@ def test_n_of_subsystem_rejects_partial_rank():
     rs = build_root_system("B2")
     with pytest.raises(ValueError):
         n_of_subsystem(rs, {(1, 0), (-1, 0)})
+
+
+@pytest.mark.parametrize("roots", [
+    # full rank, but the simple roots alone close to all of B2
+    {(1, 0), (-1, 0), (0, 1), (0, -1)},
+    # one positive root short of closed, and no negatives at all
+    {(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)},
+    {(1, 0), (0, 1), (1, 1), (1, 2)},
+])
+def test_n_of_subsystem_rejects_sets_that_are_not_reflection_closed(roots):
+    # the chain is read off a simple system, which only a closed set has
+    rs = build_root_system("B2")
+    with pytest.raises(ValueError, match="not reflection-closed"):
+        n_of_subsystem(rs, roots)
+    with pytest.raises(ValueError, match="not a root"):
+        class_divisors(rs, roots | {(2, 1)})
 
 
 N_SIGMA_TABLE = {
@@ -616,3 +641,66 @@ def test_census_pairs_each_class_with_its_divisors(name):
         assert divisors == class_divisors(rs, s.roots)
         assert len(divisors) == rs.rank
         assert n_of_subsystem(rs, s.roots) == max(divisors)
+
+
+@pytest.mark.parametrize("name", ["BC3", "F4", "B2xG2", "G2xG2xA1", "D5", "E6"])
+def test_row_components_match_component_split(name):
+    # components, ranks and labels from table rows against the vector split
+    rs = build_root_system(name)
+    for s in _bds_candidates(rs):
+        rows = sorted(((_vectors(rs, members), len(simple))
+                       for simple, members in _components(rs, s)), key=lambda c: sorted(c[0]))
+        assert tuple(rows) == component_split(rs, _vectors(rs, s))
+        assert all(rank == linalg.int_rank(comp) for comp, rank in rows)
+        assert _label(rs, s) == subsystem_label(rs, _vectors(rs, s))
+
+
+def _divisors_by_all_coroots(rs, roots):
+    """Oracle: the divisor chain from Hermite bases of every positive coroot
+    of the subsystem and of the ambient system."""
+    items = sorted(set(roots))
+    assert linalg.int_rank(items) == rs.rank
+    sub = [rs.coroot_coweight_coords(b) for b in items if sum(b) > 0]
+    sup = [rs.coroot_coweight_coords(b) for b in rs.positive_roots]
+    return quotient_divisors(sub, sup)
+
+
+@pytest.mark.parametrize("name", ["B2", "G2", "BC2", "BC3", "B2xG2", "F4", "D5", "E6", "E7",
+                                  "BC5", "C6", "G2xG2xA1"])
+def test_simple_coroot_divisors_match_all_coroots(name):
+    rs = build_root_system(name)
+    for s, divisors in census(rs):
+        assert divisors == _divisors_by_all_coroots(rs, s.roots), s.label
+
+
+def _block_partition_count(n, block_types):
+    """Coefficient of x^n in prod_k (1 - x^k)^(-c(k)), c(k) = block_types(k):
+    the multisets of typed blocks whose sizes sum to n."""
+    counts = [1] + [0] * n
+    for k in range(1, n + 1):
+        for _ in range(block_types(k)):
+            for m in range(k, n + 1):
+                counts[m] += counts[m - k]
+    return counts[n]
+
+
+#: block types of each size in a classical full-rank subsystem, up to W:
+#: B_n: B_k or D_k (k >= 2); C_n: C_k or D_k; D_n: D_k (k >= 2);
+#: BC_n: BC_k, B_k or C_k, or D_k (k >= 2)
+_BLOCK_TYPES = {
+    "B": lambda k: 1 if k == 1 else 2,
+    "C": lambda k: 1 if k == 1 else 2,
+    "D": lambda k: 0 if k == 1 else 1,
+    "BC": lambda k: 3 if k == 1 else 4,
+}
+
+
+@pytest.mark.parametrize("name", ["B4", "B5", "B6", "C4", "C5", "C6", "D4", "D5", "D6",
+                                  "BC4", "BC5"])
+def test_classical_class_counts_match_block_partitions(name):
+    # Borel and de Siebenthal; Dynkin: up to W a full-rank subsystem of a
+    # classical type is a partition of the coordinates into typed blocks
+    rs = build_root_system(name)
+    family = name.rstrip("0123456789")
+    expected = _block_partition_count(rs.rank, _BLOCK_TYPES[family])
+    assert len(full_rank_subsystems(rs)) == expected
