@@ -26,6 +26,7 @@ system is the lcm over all conjugacy classes of full-rank subsystems.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Iterable, Literal, Optional
@@ -106,7 +107,7 @@ def component_split(rs: RootSystem, roots: Iterable[Root]) -> tuple[tuple[RootSe
     one echelon of those roots tells whether it extends their spans.
     """
     echelon = linalg.IntEchelon()
-    # each group: (the roots that span it, its members)
+    # each group: (a basis of its span, as long as its rank; its members)
     groups: list[tuple[list[Root], set[Root]]] = []
     for r in set(tuple(r) for r in roots):
         span, members, rest = [], {r}, []
@@ -217,8 +218,8 @@ def _simple_system(rs: RootSystem, reduced: IndexSet) -> tuple[int, ...]:
 def _components(rs: RootSystem, s: IndexSet) -> list[tuple[tuple[int, ...], IndexSet]]:
     """(simple roots, members) of each irreducible component of a
     reflection-closed set.  A simple root joins the groups of the simple roots
-    it is not orthogonal to (refl[a][b] != b); so does every member, which is
-    a nonzero vector in the span of its component's simple roots."""
+    it is not orthogonal to (refl[a][b] != b).  A member, a nonzero vector in
+    its component's span, joins the group of the first simple root it moves."""
     refl = rs.table.refl
     groups: list[tuple[list[int], list[int]]] = []
     for a in _simple_system(rs, _indivisible_part(rs, s, "root")):
@@ -382,11 +383,11 @@ def full_rank_subsystems(
         for members in sorted(tuple(sorted(c)) for c in _brute_force_sets(rs)):
             reps.setdefault(_conjugacy_key(rs, frozenset(members)), members)
     else:
-        # a child reached from several parents is queued (and keyed) once
+        # a child reached from several parents is queued (and keyed) once;
+        # the queue stays sorted, so the walk pops the least member tuple
         queue = [(tuple(range(len(roots))), frozenset(range(len(roots))))]
         queued = {queue[0][1]}
         while queue:
-            queue.sort()
             members, s = queue.pop(0)
             key = _conjugacy_key(rs, s)
             if key in reps:
@@ -395,7 +396,7 @@ def full_rank_subsystems(
             # the key refuses a child that lost full rank
             for child in _children(rs, s) - queued:
                 queued.add(child)
-                queue.append((tuple(sorted(child)), child))
+                bisect.insort(queue, (tuple(sorted(child)), child))
 
     out = [Subsystem(tuple(roots[b] for b in members), _label(rs, frozenset(members)))
            for members in reps.values()]
@@ -427,8 +428,7 @@ def _brute_force_sets(rs: RootSystem) -> set[IndexSet]:
 def _coroot_basis(rs: RootSystem, s: IndexSet) -> list[tuple[int, ...]]:
     """Coweight rows of the simple coroots of a reflection-closed set, a basis
     of its coroot lattice (the coroot of 2 beta is half that of beta)."""
-    roots = rs.roots
-    return [rs.coroot_coweight_coords(roots[a])
+    return [rs.coroot_coweight_coords(rs.roots[a])
             for a in _simple_system(rs, _indivisible_part(rs, s, "coroot"))]
 
 

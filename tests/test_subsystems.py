@@ -309,7 +309,7 @@ def test_bds_keys_each_candidate_once(monkeypatch):
 _TABLE_CODE = {
     "census", "full_rank_subsystems", "_children", "_saturate", "reflection_closure",
     "_brute_force_sets", "_conjugacy_key", "_components", "_label", "_component_affine",
-    "_simple_system", "_indivisible_part", "class_divisors", "_divisors", "_coroot_basis",
+    "_simple_system", "_indivisible_part", "class_divisors", "_coroot_basis",
 }
 
 
@@ -417,8 +417,9 @@ def test_n_of_subsystem_rejects_partial_rank():
 @pytest.mark.parametrize("roots", [
     # full rank, but the simple roots alone close to all of B2
     {(1, 0), (-1, 0), (0, 1), (0, -1)},
-    # one positive root short of closed, and no negatives at all
+    # one pair of roots short of closed
     {(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)},
+    # the positive roots without their negatives
     {(1, 0), (0, 1), (1, 1), (1, 2)},
 ])
 def test_n_of_subsystem_rejects_sets_that_are_not_reflection_closed(roots):
