@@ -527,6 +527,33 @@ def test_a_bare_double_dash_value_is_refused(capsys, argv):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+_HELP_COMMANDS = ("build", "nsigma", "subsystems", "class", "gallery", "edge", "negativity",
+                  "fundamental", "exponent", "rank-one-bound", "snf", "verify")
+
+
+def test_help_text_is_pinned(capsys, monkeypatch):
+    # argparse wraps help to the terminal width, so the width is fixed here
+    monkeypatch.setenv("COLUMNS", "80")
+    pages = []
+    for argv in [["--help"]] + [[name, "--help"] for name in _HELP_COMMANDS]:
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        pages.append(f"$ rootneg {' '.join(argv)}\n{out}")
+    expected = (REPO_ROOT / "tests" / "cli_help.txt").read_text(encoding="utf-8")
+    assert "".join(pages) == expected
+
+
+def test_an_invariant_violation_exits_3(capsys, monkeypatch):
+    from rootneg import cli
+
+    def planted(*args, **kwargs):
+        raise AssertionError("planted")
+
+    monkeypatch.setattr(cli, "edge", planted)
+    code, out, err = invoke(capsys, "edge", "--type", "A2", "--re", "1/2,1/2")
+    assert (code, out, err) == (3, "", "internal invariant violation: planted\n")
+
+
 # rank <= 3 types, each with its rank, and names that must be refused
 _FUZZ_TYPES = {"A1": 1, "A2": 2, "A3": 3, "B2": 2, "B3": 3, "C3": 3, "D3": 3, "G2": 2,
                "BC1": 1, "BC2": 2, "BC3": 3, "A1xA1": 2, "A1xG2": 3, "BC1xA2": 3}
