@@ -6,6 +6,15 @@ negative ones, live in the JSON), 2 means bad input, 3 means a library
 invariant failed.  Output is deterministic: fixed key order, no floats,
 byte-identical across reruns of the same invocation.
 
+One table, ``_COMMANDS``, maps each subcommand to its handler, its help line
+and its ordered argument groups: the type, the parameter (``--re``/``--im``),
+the mode with its test subspace, the census method, the denominator, and the
+command's own flags.  The parser, the set of flags whose values may start
+with "-", the shared inputs (root system, parameter, checked integers, test
+subspace, gallery guard) and the echoed ``type, re, im, mode, denominator``
+prefix of each document all follow from that table.  Flags are matched by
+their full spelling only.
+
 Serialization conventions: rationals are "p/q" strings (integers print as
 "p"); derived constants (group orders, lattice indices, bounds, divisor
 chains) are decimal strings; roots, words, and integer matrices are JSON
@@ -21,7 +30,7 @@ import math
 import os
 import sys
 from fractions import Fraction as Q
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .lattice import smith_normal_form
 from .negativity import (
@@ -83,24 +92,26 @@ def _parse_int_matrix(text: str, what: str) -> list[list[int]]:
     rows = _parse_q_matrix(text, what)
     if not rows:
         raise ValueError(f"{what} must have at least one row")
-    out = []
-    for row in rows:
-        if any(x.denominator != 1 for x in row):
-            raise ValueError(f"{what} must have integer entries")
-        out.append([int(x) for x in row])
-    return out
+    if any(x.denominator != 1 for row in rows for x in row):
+        raise ValueError(f"{what} must have integer entries")
+    return [[int(x) for x in row] for row in rows]
+
+
+def _positive(n: int, what: str) -> int:
+    if n < 1:
+        raise ValueError(f"{what} must be a positive integer")
+    return n
 
 
 def _parameter(rs: RootSystem, args: argparse.Namespace) -> Parameter:
-    re = _parse_q_list(args.re, "--re")
-    if len(re) != rs.rank:
-        raise ValueError(f"--re needs {rs.rank} coordinates for type {rs.spec}")
-    if args.im is None:
-        im = tuple(Q(0) for _ in range(rs.rank))
-    else:
-        im = _parse_q_list(args.im, "--im")
-        if len(im) != rs.rank:
-            raise ValueError(f"--im needs {rs.rank} coordinates for type {rs.spec}")
+    def coordinates(text: str, flag: str) -> tuple[Q, ...]:
+        xs = _parse_q_list(text, flag)
+        if len(xs) != rs.rank:
+            raise ValueError(f"{flag} needs {rs.rank} coordinates for type {rs.spec}")
+        return xs
+
+    re = coordinates(args.re, "--re")
+    im = (Q(0),) * rs.rank if args.im is None else coordinates(args.im, "--im")
     return Parameter(re, im)
 
 
@@ -108,17 +119,9 @@ def _subspace(rs: RootSystem, text: Optional[str]) -> Optional[SubspaceBasis]:
     if text is None:
         return None
     rows = _parse_q_matrix(text, "--subspace")
-    for row in rows:
-        if len(row) != rs.rank:
-            raise ValueError(f"--subspace vectors need {rs.rank} coordinates")
+    if any(len(row) != rs.rank for row in rows):
+        raise ValueError(f"--subspace vectors need {rs.rank} coordinates")
     return SubspaceBasis(rs.rank, rows)
-
-
-def _denominator(args: argparse.Namespace) -> int:
-    n = args.denominator
-    if n < 1:
-        raise ValueError("--denominator must be a positive integer")
-    return n
 
 
 def _check_chambers(rs: RootSystem, lam: Parameter) -> None:
@@ -136,12 +139,13 @@ def _check_chambers(rs: RootSystem, lam: Parameter) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Commands.  Each returns (document, exit_code).
+# Commands.  Each handler reads the namespace that run has filled in from the
+# command's table row (rs, lam, basis and the checked or parsed flag values)
+# and returns (document, exit_code); run puts the echoed prefix in front.
 
 def _cmd_build(args) -> tuple[JsonDoc, int]:
-    rs = build_root_system(args.type)
+    rs = args.rs
     doc = {
-        "type": str(rs.spec),
         "rank": rs.rank,
         "components": [f"{fam}{rank}" for fam, rank in rs.spec.components],
         "cartan": [list(row) for row in rs.cartan],
@@ -197,33 +201,26 @@ def _store_nsigma_cache(path: str, cache: dict) -> None:
 
 
 def _cmd_nsigma(args) -> tuple[JsonDoc, int]:
-    rs = build_root_system(args.type)
-    type_name = str(rs.spec)
-    key = f"{type_name}/{args.method}"
-    entry = None
-    cache = {}
-    if args.cache_dir:
-        path = os.path.join(args.cache_dir, "nsigma.json")
-        cache = _load_nsigma_cache(path)
-        entry = cache.get(key)
-        if entry is not None and not _is_nsigma_entry(entry):
-            print(f"rootneg: ignoring malformed cache entry {key} in {path}", file=sys.stderr)
-            entry = None
+    key = f"{args.rs.spec}/{args.method}"
+    path = os.path.join(args.cache_dir, "nsigma.json") if args.cache_dir else None
+    cache = _load_nsigma_cache(path) if path else {}
+    entry = cache.get(key)
+    if entry is not None and not _is_nsigma_entry(entry):
+        print(f"rootneg: ignoring malformed cache entry {key} in {path}", file=sys.stderr)
+        entry = None
     if entry is None:
-        classes = [(s.label, math.lcm(1, *d)) for s, d in census(rs, args.method)]
+        classes = [(s.label, math.lcm(1, *d)) for s, d in census(args.rs, args.method)]
         entry = {
             "n_sigma": str(math.lcm(1, *(n for _, n in classes))),
             "subsystems": [{"label": label, "n": str(n)} for label, n in classes],
         }
-        if args.cache_dir:
+        if path:
             cache[key] = entry
             _store_nsigma_cache(path, cache)
-    doc = {"type": type_name, "n_sigma": entry["n_sigma"], "subsystems": entry["subsystems"]}
-    return doc, 0
+    return {"n_sigma": entry["n_sigma"], "subsystems": entry["subsystems"]}, 0
 
 
 def _cmd_subsystems(args) -> tuple[JsonDoc, int]:
-    rs = build_root_system(args.type)
     out = [
         {
             "label": s.label,
@@ -232,10 +229,9 @@ def _cmd_subsystems(args) -> tuple[JsonDoc, int]:
             "size": len(s.roots),
             "roots": [list(b) for b in s.roots],
         }
-        for s, divisors in census(rs, args.method)
+        for s, divisors in census(args.rs, args.method)
     ]
     doc = {
-        "type": str(rs.spec),
         "method": args.method,
         "count": len(out),
         "subsystems": out,
@@ -244,19 +240,11 @@ def _cmd_subsystems(args) -> tuple[JsonDoc, int]:
 
 
 def _cmd_class(args) -> tuple[JsonDoc, int]:
-    rs = build_root_system(args.type)
-    lam = _parameter(rs, args)
-    n = _denominator(args)
-    _check_chambers(rs, lam)
-    walk = sorted(chamber_walk(rs, lam, n), key=lambda c: (c.re, c.im))
+    walk = sorted(chamber_walk(args.rs, args.lam, args.denominator), key=lambda c: (c.re, c.im))
     # the gallery at denominator 1 has one chamber per coset of W(Sigma)
-    count = chamber_count(rs, lam)
-    e = edge(rs, lam, n)
+    count = chamber_count(args.rs, args.lam)
+    e = edge(args.rs, args.lam, args.denominator)
     doc = {
-        "type": str(rs.spec),
-        "re": _q_list(lam.re),
-        "im": _q_list(lam.im),
-        "denominator": n,
         "members": [
             {"word": list(c.w_word), "re": [str(Q(x, c.d)) for x in c.re],
              "im": [str(Q(x, c.d)) for x in c.im]}
@@ -271,14 +259,8 @@ def _cmd_class(args) -> tuple[JsonDoc, int]:
 
 
 def _cmd_gallery(args) -> tuple[JsonDoc, int]:
-    rs = build_root_system(args.type)
-    lam = _parameter(rs, args)
-    _check_chambers(rs, lam)
-    gallery = chamber_walk(rs, lam)
+    gallery = chamber_walk(args.rs, args.lam)
     doc = {
-        "type": str(rs.spec),
-        "re": _q_list(lam.re),
-        "im": _q_list(lam.im),
         "size": len(gallery),
         "chambers": [list(c.u_word) for c in gallery],
     }
@@ -286,15 +268,8 @@ def _cmd_gallery(args) -> tuple[JsonDoc, int]:
 
 
 def _cmd_edge(args) -> tuple[JsonDoc, int]:
-    rs = build_root_system(args.type)
-    lam = _parameter(rs, args)
-    n = _denominator(args)
-    e = edge(rs, lam, n)
+    e = edge(args.rs, args.lam, args.denominator)
     doc = {
-        "type": str(rs.spec),
-        "re": _q_list(lam.re),
-        "im": _q_list(lam.im),
-        "denominator": n,
         "dim": e.dim,
         "basis": _q_rows(e.vectors),
     }
@@ -302,20 +277,10 @@ def _cmd_edge(args) -> tuple[JsonDoc, int]:
 
 
 def _cmd_negativity(args) -> tuple[JsonDoc, int]:
-    rs = build_root_system(args.type)
-    lam = _parameter(rs, args)
-    n = _denominator(args)
-    basis = _subspace(rs, args.subspace)
-    _check_chambers(rs, lam)
-    report = check_class_negativity(rs, lam, args.mode, basis, n)
+    report = check_class_negativity(args.rs, args.lam, args.mode, args.basis, args.denominator)
     # the class report checks lam itself as the member with the empty word
-    verdict = next(m.verdict for m in report.members if m.mu == lam)
+    verdict = next(m.verdict for m in report.members if m.mu == args.lam)
     doc = {
-        "type": str(rs.spec),
-        "re": _q_list(lam.re),
-        "im": _q_list(lam.im),
-        "mode": args.mode,
-        "denominator": n,
         "feasible": verdict.feasible,
         "witness": _q_list(verdict.witness_omega)
         if verdict.witness_omega is not None
@@ -328,19 +293,9 @@ def _cmd_negativity(args) -> tuple[JsonDoc, int]:
 
 
 def _cmd_fundamental(args) -> tuple[JsonDoc, int]:
-    rs = build_root_system(args.type)
-    lam = _parameter(rs, args)
-    n = _denominator(args)
-    basis = _subspace(rs, args.subspace)
-    _check_chambers(rs, lam)
-    report = verify_fundamental_lemma(rs, lam, args.mode, basis, n)
+    report = verify_fundamental_lemma(args.rs, args.lam, args.mode, args.basis, args.denominator)
     containing = report.containing_member
     doc = {
-        "type": str(rs.spec),
-        "re": _q_list(lam.re),
-        "im": _q_list(lam.im),
-        "mode": args.mode,
-        "denominator": n,
         "vacuous": report.vacuous,
         "edge_dim": report.edge_basis.dim,
         "edge_basis": _q_rows(report.edge_basis.vectors),
@@ -356,18 +311,12 @@ def _cmd_fundamental(args) -> tuple[JsonDoc, int]:
 
 
 def _cmd_exponent(args) -> tuple[JsonDoc, int]:
-    spherical = _parse_q_matrix(args.spherical, "--spherical")
-    mu = _parse_q_list(args.mu, "--mu")
-    rho_q = _parse_q_list(args.rhoq, "--rhoq")
-    nu = _parse_q_list(args.nu, "--nu")
-    if args.n < 1:
-        raise ValueError("--n must be a positive integer")
-    rank_z = len(mu)
-    edge_dims = rank_z - len(spherical)
-    cert = certify_exponent(rank_z, spherical, edge_dims, mu, rho_q, nu, args.n)
+    rank_z = len(args.mu)
+    edge_dims = rank_z - len(args.spherical)
+    cert = certify_exponent(rank_z, args.spherical, edge_dims, args.mu, args.rhoq, args.nu, args.n)
     doc = {
         "rank_z": rank_z,
-        "spherical_count": len(spherical),
+        "spherical_count": len(args.spherical),
         "edge_dims": edge_dims,
         "n": args.n,
         "solvable": cert.solvable,
@@ -387,8 +336,7 @@ def _cmd_rank_one_bound(args) -> tuple[JsonDoc, int]:
 
 
 def _cmd_snf(args) -> tuple[JsonDoc, int]:
-    matrix = _parse_int_matrix(args.matrix, "--matrix")
-    res = smith_normal_form(matrix)
+    res = smith_normal_form(args.matrix)
     doc = {
         "divisors": [str(d) for d in res.divisors],
         "u": [list(row) for row in res.u],
@@ -415,20 +363,97 @@ def _cmd_verify(args) -> tuple[JsonDoc, int]:
     return doc, 0 if doc["ok"] else 3
 
 
-_COMMANDS: dict[str, Callable[[argparse.Namespace], tuple[JsonDoc, int]]] = {
-    "build": _cmd_build,
-    "nsigma": _cmd_nsigma,
-    "subsystems": _cmd_subsystems,
-    "class": _cmd_class,
-    "gallery": _cmd_gallery,
-    "edge": _cmd_edge,
-    "negativity": _cmd_negativity,
-    "fundamental": _cmd_fundamental,
-    "exponent": _cmd_exponent,
-    "rank-one-bound": _cmd_rank_one_bound,
-    "snf": _cmd_snf,
-    "verify": _cmd_verify,
+# ---------------------------------------------------------------------------
+# The command table.
+
+class _Flag(NamedTuple):
+    name: str
+    #: keywords for add_argument
+    options: dict
+    #: the value may start with "-" (a negative coordinate), so it is joined
+    #: to "--flag=value" form before the parser sees it
+    signed: bool = False
+    #: (value, flag name) -> the checked or parsed value that the handler reads
+    parse: Optional[Callable] = None
+
+
+def _flag(name: str, signed: bool = False, parse: Optional[Callable] = None,
+          **options) -> _Flag:
+    return _Flag(name, options, signed, parse)
+
+
+class _Command(NamedTuple):
+    handler: Callable[[argparse.Namespace], tuple[JsonDoc, int]]
+    help: str
+    groups: tuple = ()
+    #: refuse a parameter whose gallery has more than WEYL_ORDER_LIMIT chambers
+    walks: bool = False
+
+
+# The groups below are shared; a command's own flags form its last group.
+# rank-one-bound's --type is its own: optional, never built into a root
+# system and never echoed.
+_TYPE_HELP = 'type string such as "A2", "BC1", or "B3xA1"'
+_N_OPTIONS = dict(parse=_positive, type=int, default=1,
+                  help="integrality denominator N (default 1)")
+
+_TYPE = (_flag("--type", required=True, help=_TYPE_HELP),)
+_PARAMETER = (
+    _flag("--re", signed=True, required=True, help="real coordinates, e.g. \"1/2,1/2\""),
+    _flag("--im", signed=True, default=None, help="imaginary coordinates (default all 0)"),
+)
+_MODE = (
+    _flag("--mode", required=True, choices=("strict", "weak", "integral")),
+    _flag("--subspace", signed=True, default=None,
+          help='test subspace basis rows, e.g. "1,0;0,1" (weak/integral only)'),
+)
+_METHOD = (
+    _flag("--method", choices=("bds", "brute_force"), default="bds",
+          help="enumeration method (default bds)"),
+)
+_DENOMINATOR = (_flag("--denominator", **_N_OPTIONS),)
+
+_COMMANDS: dict[str, _Command] = {
+    "build": _Command(_cmd_build, "summarize a root system", (_TYPE,)),
+    "nsigma": _Command(
+        _cmd_nsigma, "least common multiple of full-rank subsystem constants",
+        (_TYPE, _METHOD, (_flag("--cache-dir", default=None,
+                                help="directory for the constants cache"),)),
+    ),
+    "subsystems": _Command(
+        _cmd_subsystems, "enumerate full-rank subsystems up to conjugacy", (_TYPE, _METHOD)
+    ),
+    "class": _Command(_cmd_class, "move-equivalence class of a parameter",
+                      (_TYPE, _PARAMETER, _DENOMINATOR), walks=True),
+    "gallery": _Command(_cmd_gallery, "gallery class of the fundamental chamber",
+                        (_TYPE, _PARAMETER), walks=True),
+    "edge": _Command(_cmd_edge, "common kernel of the integral coroots",
+                     (_TYPE, _PARAMETER, _DENOMINATOR)),
+    "negativity": _Command(_cmd_negativity, "negativity verdict for one parameter and its class",
+                           (_TYPE, _PARAMETER, _MODE, _DENOMINATOR), walks=True),
+    "fundamental": _Command(_cmd_fundamental, "edge and lattice consequences of class negativity",
+                            (_TYPE, _PARAMETER, _MODE, _DENOMINATOR), walks=True),
+    "exponent": _Command(_cmd_exponent, "certificate for a leading-exponent expansion", ((
+        _flag("--spherical", signed=True, parse=_parse_q_matrix, required=True,
+              help='independent vectors as matrix rows, e.g. "1,0;0,1" (may be empty)'),
+        _flag("--mu", signed=True, parse=_parse_q_list, required=True, help="exponent vector"),
+        _flag("--rhoq", signed=True, parse=_parse_q_list, required=True, help="shift vector"),
+        _flag("--nu", signed=True, parse=_parse_q_list, required=True,
+              help="twist vector (echoed)"),
+        _flag("--n", **_N_OPTIONS),
+    ),)),
+    "rank-one-bound": _Command(_cmd_rank_one_bound, "denominator bound for rank-one factors",
+                               ((_flag("--type", help=_TYPE_HELP),),)),
+    "snf": _Command(_cmd_snf, "Smith normal form of an integer matrix", ((
+        _flag("--matrix", signed=True, parse=_parse_int_matrix, required=True,
+              help='integer matrix literal "a,b;c,d"'),
+    ),)),
+    "verify": _Command(_cmd_verify, "run the full property suite"),
 }
+
+
+def _flags(command: _Command) -> list[_Flag]:
+    return [flag for group in command.groups for flag in group]
 
 
 @functools.cache
@@ -438,154 +463,59 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--pretty", action="store_true", help="indent the JSON output"
     )
-
     parser = argparse.ArgumentParser(
         prog="rootneg",
         description="Exact root-system computations with JSON output.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, help_text: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, help=help_text, parents=[common])
-
-    def add_type(p: argparse.ArgumentParser, required: bool = True) -> None:
-        p.add_argument(
-            "--type",
-            required=required,
-            help='type string such as "A2", "BC1", or "B3xA1"',
-        )
-
-    def add_parameter(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--re", required=True, help="real coordinates, e.g. \"1/2,1/2\""
-        )
-        p.add_argument(
-            "--im", default=None, help="imaginary coordinates (default all 0)"
-        )
-
-    def add_denominator(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--denominator",
-            type=int,
-            default=1,
-            help="integrality denominator N (default 1)",
-        )
-
-    p = command("build", "summarize a root system")
-    add_type(p)
-
-    p = command("nsigma", "least common multiple of full-rank subsystem constants")
-    add_type(p)
-    p.add_argument(
-        "--method",
-        choices=("bds", "brute_force"),
-        default="bds",
-        help="enumeration method (default bds)",
-    )
-    p.add_argument(
-        "--cache-dir", default=None, help="directory for the constants cache"
-    )
-
-    p = command("subsystems", "enumerate full-rank subsystems up to conjugacy")
-    add_type(p)
-    p.add_argument(
-        "--method",
-        choices=("bds", "brute_force"),
-        default="bds",
-        help="enumeration method (default bds)",
-    )
-
-    p = command("class", "move-equivalence class of a parameter")
-    add_type(p)
-    add_parameter(p)
-    add_denominator(p)
-
-    p = command("gallery", "gallery class of the fundamental chamber")
-    add_type(p)
-    add_parameter(p)
-
-    p = command("edge", "common kernel of the integral coroots")
-    add_type(p)
-    add_parameter(p)
-    add_denominator(p)
-
-    p = command("negativity", "negativity verdict for one parameter and its class")
-    add_type(p)
-    add_parameter(p)
-    p.add_argument(
-        "--mode", required=True, choices=("strict", "weak", "integral")
-    )
-    p.add_argument(
-        "--subspace",
-        default=None,
-        help='test subspace basis rows, e.g. "1,0;0,1" (weak/integral only)',
-    )
-    add_denominator(p)
-
-    p = command("fundamental", "edge and lattice consequences of class negativity")
-    add_type(p)
-    add_parameter(p)
-    p.add_argument(
-        "--mode", required=True, choices=("strict", "weak", "integral")
-    )
-    p.add_argument(
-        "--subspace",
-        default=None,
-        help='test subspace basis rows (weak/integral only)',
-    )
-    add_denominator(p)
-
-    p = command("exponent", "certificate for a leading-exponent expansion")
-    p.add_argument(
-        "--spherical",
-        required=True,
-        help='independent vectors as matrix rows, e.g. "1,0;0,1" (may be empty)',
-    )
-    p.add_argument("--mu", required=True, help="exponent vector")
-    p.add_argument("--rhoq", required=True, help="shift vector")
-    p.add_argument("--nu", required=True, help="twist vector (echoed)")
-    p.add_argument(
-        "--n", type=int, default=1, help="integrality denominator N (default 1)"
-    )
-
-    p = command("rank-one-bound", "denominator bound for rank-one factors")
-    add_type(p, required=False)
-
-    p = command("snf", "Smith normal form of an integer matrix")
-    p.add_argument(
-        "--matrix", required=True, help='integer matrix literal "a,b;c,d"'
-    )
-
-    command("verify", "run the full property suite")
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, parents=[common], allow_abbrev=False)
+        for flag in _flags(command):
+            p.add_argument(flag.name, **flag.options)
     return parser
 
 
-#: flags whose values may start with "-" (negative coordinates); they are
-#: joined to "--flag=value" form so the parser never mistakes them for options
 _VALUE_FLAGS = frozenset(
-    ("--re", "--im", "--mu", "--rhoq", "--nu", "--subspace", "--spherical", "--matrix")
+    flag.name for command in _COMMANDS.values() for flag in _flags(command) if flag.signed
 )
 
 
 def _join_value_flags(argv: Sequence[str]) -> list[str]:
-    out: list[str] = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _VALUE_FLAGS and i + 1 < len(argv):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(tok)
-            i += 1
+    out, tokens = [], iter(argv)
+    for tok in tokens:
+        value = next(tokens, None) if tok in _VALUE_FLAGS else None
+        out.append(tok if value is None else f"{tok}={value}")
     return out
 
 
+def _shared_inputs(args: argparse.Namespace, command: _Command) -> JsonDoc:
+    """Fill in what the command's groups declare, in the order their refusals
+    are checked, and return the document's echoed prefix."""
+    echo: JsonDoc = {}
+    if _TYPE in command.groups:
+        args.rs = build_root_system(args.type)
+        echo["type"] = str(args.rs.spec)
+    if _PARAMETER in command.groups:
+        args.lam = _parameter(args.rs, args)
+        echo.update(re=_q_list(args.lam.re), im=_q_list(args.lam.im))
+    for flag in _flags(command):
+        if flag.parse is not None:
+            dest = flag.name[2:].replace("-", "_")
+            setattr(args, dest, flag.parse(getattr(args, dest), flag.name))
+    if _MODE in command.groups:
+        args.basis = _subspace(args.rs, args.subspace)
+        echo["mode"] = args.mode
+    if _DENOMINATOR in command.groups:
+        echo["denominator"] = args.denominator
+    if command.walks:
+        _check_chambers(args.rs, args.lam)
+    return echo
+
+
 def run(argv: Sequence[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(_join_value_flags(argv))
+        args = _build_parser().parse_args(_join_value_flags(argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     # argparse drops a value that is exactly "--" and stores an empty list
@@ -593,14 +523,17 @@ def run(argv: Sequence[str]) -> int:
     if bare is not None:
         print(f"error: --{bare.replace('_', '-')} needs a value other than '--'", file=sys.stderr)
         return 2
+    command = _COMMANDS[args.command]
     try:
-        doc, code = _COMMANDS[args.command](args)
+        echo = _shared_inputs(args, command)
+        doc, code = command.handler(args)
     except (ValueError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 3
+    doc = {**echo, **doc}
     if args.pretty:
         text = json.dumps(doc, indent=2)
     else:

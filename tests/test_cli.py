@@ -527,6 +527,26 @@ def test_a_bare_double_dash_value_is_refused(capsys, argv):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+_ABBREVIATED_ARGVS = {
+    "re-positive": ("class", "--type", "A2", "--r", "1/2,1/2"),
+    "re-negative": ("class", "--type", "A2", "--r", "-1/2,1/2"),
+    "subspace-positive": ("negativity", "--type", "A2", "--re", "1,1", "--mode", "weak",
+                          "--sub", "1,0"),
+    "subspace-negative": ("negativity", "--type", "A2", "--re", "1,1", "--mode", "weak",
+                          "--sub", "-1,0"),
+    "denominator": ("edge", "--type", "A2", "--re", "1/2,1/2", "--den", "2"),
+    "type": ("rank-one-bound", "--ty", "A2"),
+}
+
+
+@pytest.mark.parametrize("argv", _ABBREVIATED_ARGVS.values(), ids=_ABBREVIATED_ARGVS.keys())
+def test_abbreviated_flags_are_refused(capsys, argv):
+    # prefix matching would take a positive value and refuse a negative one
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "usage:" in err and "Traceback" not in err
+
+
 _HELP_COMMANDS = ("build", "nsigma", "subsystems", "class", "gallery", "edge", "negativity",
                   "fundamental", "exponent", "rank-one-bound", "snf", "verify")
 
