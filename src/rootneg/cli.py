@@ -476,16 +476,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_VALUE_FLAGS = frozenset(
-    flag.name for command in _COMMANDS.values() for flag in _flags(command) if flag.signed
-)
+#: per command, its flag names -> whether the value may start with "-"
+_COMMAND_FLAGS = {name: {"--pretty": False, **{flag.name: flag.signed for flag in _flags(command)}}
+                  for name, command in _COMMANDS.items()}
 
 
 def _join_value_flags(argv: Sequence[str]) -> list[str]:
+    """argv with each signed flag of its command joined to its value as
+    "--flag=value".  A flag given twice, in either spelling, is refused."""
+    flags = _COMMAND_FLAGS.get(argv[0] if argv else "", {})
     out, tokens = [], iter(argv)
     for tok in tokens:
-        value = next(tokens, None) if tok in _VALUE_FLAGS else None
+        value = next(tokens, None) if flags.get(tok) else None
         out.append(tok if value is None else f"{tok}={value}")
+    given = [tok.partition("=")[0] for tok in out]
+    for flag in flags:
+        if given.count(flag) > 1:
+            _build_parser().exit(2, f"error: {flag} is given twice\n")
     return out
 
 

@@ -12,11 +12,19 @@ numbers sort as the roots do, so it visits, keys and picks representatives in
 the vectors' order.  subsystem_spec and parabolic_closure stay on vectors for
 the commands that never build the table.
 
+Each candidate the census meets carries one record, its components with their
+simple roots (_components), found once with a single scan for simple roots.
+The key, the children and the label of a kept representative all read that
+record; the coroot-side simple roots follow from the root-side ones
+(_coroot_simple) instead of a second scan.
+
 Full-rank subsystems are listed up to W-conjugacy, exactly at every rank
 and without enumerating W: a subsystem's class is keyed by the dominant
 W-conjugate of 2ρ_S (the sum of its positive roots) together with the least
 image of its simple system under the small parabolic subgroup that fixes
-that dominant vector (Bourbaki, Lie Groups and Lie Algebras VI §1.10).
+that dominant vector (Bourbaki, Lie Groups and Lie Algebras VI §1.10).  The
+key holds 2ρ_S in weight coordinates, its values on the simple coroots, so a
+simple reflection costs one column of the Cartan matrix.
 
 The constant attached to a full-rank subsystem S is the exponent of the
 finite quotient (coroot lattice of the ambient system) / (coroot lattice of
@@ -43,6 +51,9 @@ from .rootsys import (
 RootSet = frozenset[Root]
 #: a subset of the roots as numbers in rs.roots order (see RootSystem.table)
 IndexSet = frozenset[int]
+#: (simple roots, members) of each irreducible component of a
+#: reflection-closed set: the census's record of a candidate
+Components = list[tuple[tuple[int, ...], IndexSet]]
 
 #: brute-force enumeration walks all sign-pair subsets; cap the exponent.
 BRUTE_FORCE_MAX_RANK = 3
@@ -181,11 +192,11 @@ def subsystem_label(rs: RootSystem, roots: Iterable[Root]) -> str:
     return str(spec) if spec is not None else "empty"
 
 
-def _label(rs: RootSystem, s: IndexSet) -> str:
-    """subsystem_label of a reflection-closed set of root numbers."""
+def _label(rs: RootSystem, comps: Components) -> str:
+    """subsystem_label of a reflection-closed set, from its components."""
     return str(RootSystemSpec(tuple(
         _classify_component(rs, {rs.roots[b] for b in members}, len(simple))
-        for simple, members in _components(rs, s))))
+        for simple, members in comps)))
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +226,7 @@ def _simple_system(rs: RootSystem, reduced: IndexSet) -> tuple[int, ...]:
     return tuple(a for a in pos if all(refl[a][b] >= first_positive for b in pos if b != a))
 
 
-def _components(rs: RootSystem, s: IndexSet) -> list[tuple[tuple[int, ...], IndexSet]]:
+def _components(rs: RootSystem, s: IndexSet) -> Components:
     """(simple roots, members) of each irreducible component of a
     reflection-closed set.  A simple root joins the groups of the simple roots
     it is not orthogonal to (refl[a][b] != b).  A member, a nonzero vector in
@@ -232,17 +243,26 @@ def _components(rs: RootSystem, s: IndexSet) -> list[tuple[tuple[int, ...], Inde
     return [(tuple(simple), frozenset(members)) for simple, members in groups]
 
 
+def _coroot_simple(rs: RootSystem, s: IndexSet, simple: Iterable[int]) -> tuple[int, ...]:
+    """The simple roots of s on the coroot side, from those on the root side.
+
+    The coroot of 2 beta is half that of beta, so on a BC component the short
+    simple root gives way to its double; every other simple root stays.
+    """
+    double = rs.table.double
+    return tuple(double[a] if double[a] in s else a for a in simple)
+
+
 def _component_affine(
-    rs: RootSystem, comp: IndexSet, side: Side
-) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
-    """(simple nodes, highest root, marks) of one component on one side.
+    rs: RootSystem, comp: IndexSet, simple: tuple[int, ...], side: Side
+) -> tuple[int, tuple[int, ...]]:
+    """(highest root, marks) of one component on one side, given its simple
+    roots on that side; the marks follow their order.
 
     Adding simple roots to a simple root while the sum stays a root ends at
     the highest root (Bourbaki VI §1.8), and counts its coefficients.
     """
-    reduced = _indivisible_part(rs, comp, side)
-    simple = _simple_system(rs, reduced)
-    number = {_side_coords(rs, rs.roots[b], side): b for b in reduced}
+    number = {_side_coords(rs, rs.roots[b], side): b for b in _indivisible_part(rs, comp, side)}
     steps = [_side_coords(rs, rs.roots[a], side) for a in simple]
     top, marks, k = steps[0], [1] + [0] * (len(simple) - 1), 0
     while k < len(steps):
@@ -251,7 +271,7 @@ def _component_affine(
             top, marks[k], k = up, marks[k] + 1, 0
         else:
             k += 1
-    return simple, number[top], tuple(marks)
+    return number[top], tuple(marks)
 
 
 # ---------------------------------------------------------------------------
@@ -264,18 +284,19 @@ def _saturate(rs: RootSystem, s: IndexSet) -> IndexSet:
     return s if extra <= s else reflection_closure(rs, s | extra)
 
 
-def _children(rs: RootSystem, s: IndexSet) -> set[IndexSet]:
-    """One step of extended-diagram node removal, on both lattice sides.
+def _children(rs: RootSystem, s: IndexSet, comps: Components) -> set[IndexSet]:
+    """One step of extended-diagram node removal, on both lattice sides, from
+    the components of s.
 
     The components of s span orthogonal subspaces, so closing the kept nodes
     of one component and adjoining the others is the closure of their union.
     """
     out: set[IndexSet] = set()
-    for _simple, comp in _components(rs, s):
+    for simple, comp in comps:
         rest = s - comp
-        for side in ("root", "coroot"):
-            simple, top, _marks = _component_affine(rs, comp, side)
-            nodes = simple + (len(rs.roots) - 1 - top,)
+        for side, side_simple in (("root", simple), ("coroot", _coroot_simple(rs, comp, simple))):
+            top, _marks = _component_affine(rs, comp, side_simple, side)
+            nodes = side_simple + (len(rs.roots) - 1 - top,)
             for drop in range(len(nodes)):
                 child = rest | reflection_closure(rs, nodes[:drop] + nodes[drop + 1:])
                 out |= {child, _saturate(rs, child)}
@@ -283,8 +304,9 @@ def _children(rs: RootSystem, s: IndexSet) -> set[IndexSet]:
     return out
 
 
-def _conjugacy_key(rs: RootSystem, s: IndexSet) -> tuple:
-    """A complete invariant of the W-conjugacy class of a subsystem S.
+def _conjugacy_key(rs: RootSystem, s: IndexSet, comps: Components) -> tuple:
+    """A complete invariant of the W-conjugacy class of a subsystem S, from
+    its components.
 
     P = S ∩ Φ⁺ is a positive system of S, and 2ρ_P = sum(P) is W-equivariant
     in P: conjugate subsystems have W-conjugate 2ρ's, since the positive
@@ -296,19 +318,21 @@ def _conjugacy_key(rs: RootSystem, s: IndexSet) -> tuple:
     over components c of S of |P∩c| 2ρ_{P∩c}, made W_J-dominant the same way,
     shrinks J to J2 = {i in J : <v2, alpha_i-coroot> = 0} before the
     W_{J2}-orbit of P is searched.  P is represented by its sorted simple
-    roots, each flagged by whether its double lies in S (so non-reduced
-    components stay distinct); the key is the least representative in the
-    orbit.  No step enumerates W.
+    roots on the coroot side (_coroot_simple), the least representative in
+    the orbit being the key.  They fix the part of S without halves in S, and
+    2ρ_P then tells which of its components S extends to type BC, since the
+    halves S adds are the long roots of whole components, whose sums lie in
+    orthogonal subspaces.  No step enumerates W.
 
-    Roots move by table rows; dom and v2 are not roots, and s_i changes
-    their coordinate i only.
+    Roots move by table rows.  dom and v2 are not roots; they are held in
+    weight coordinates, their values on the simple coroots, so s_i subtracts
+    coordinate i times column i of the Cartan matrix, and a vector is
+    dominant on indices where none of its coordinates is negative.
     """
-    roots, table = rs.roots, rs.table
-    comps = _components(rs, s)
-    simple = [a for sim, _ in comps for a in sim]
+    roots, table, cartan = rs.roots, rs.table, rs.cartan
+    simple = list(_coroot_simple(rs, s, (a for sim, _ in comps for a in sim)))
     if len(simple) != rs.rank:
         raise AssertionError("subsystem lost full rank")
-    flags = [table.double[a] in s for a in simple]
 
     dom, v2 = [0] * rs.rank, [0] * rs.rank
     for _, members in comps:
@@ -316,31 +340,29 @@ def _conjugacy_key(rs: RootSystem, s: IndexSet) -> tuple:
         two_rho = [sum(col) for col in zip(*pos)]
         dom = [x + y for x, y in zip(dom, two_rho)]
         v2 = [x + len(pos) * y for x, y in zip(v2, two_rho)]
+    dom, v2 = ([sum(c * x for c, x in zip(row, v)) for row in cartan] for v in (dom, v2))
 
-    cartan = rs.cartan
+    columns = list(zip(*cartan))
     simple_rows = [table.refl[table.index[a]] for a in rs.simple_roots]
 
-    def coroot_value(v: list[int], i: int) -> int:
-        return sum(x * c for x, c in zip(v, cartan[i]))
-
     def to_dominant(v: list[int], indices, carried: list[list[int]]) -> None:
-        """Reflect v by s_i, i in indices, until it pairs non-negatively with
-        those coroots, and carried and the simple roots along with it."""
+        """Reflect v by s_i, i in indices, until none of its coordinates
+        there is negative, and carried and the simple roots along with it."""
         while True:
-            i = next((i for i in indices if coroot_value(v, i) < 0), None)
+            i = next((i for i in indices if v[i] < 0), None)
             if i is None:
                 return
             for x in (v, *carried):
-                x[i] -= coroot_value(x, i)
+                x[:] = [y - x[i] * c for y, c in zip(x, columns[i])]
             simple[:] = [simple_rows[i][a] for a in simple]
 
     to_dominant(dom, range(rs.rank), [v2])
     # W_J fixes dom, so moving v2 within W_J leaves dom dominant
-    j1 = [i for i in range(rs.rank) if coroot_value(dom, i) == 0]
+    j1 = [i for i in range(rs.rank) if dom[i] == 0]
     to_dominant(v2, j1, [])
-    j2 = [i for i in j1 if coroot_value(v2, i) == 0]
+    j2 = [i for i in j1 if v2[i] == 0]
 
-    start = tuple(sorted(zip(simple, flags)))
+    start = tuple(sorted(simple))
     orbit = {start}
     frontier = [start]
     while frontier:
@@ -348,7 +370,7 @@ def _conjugacy_key(rs: RootSystem, s: IndexSet) -> tuple:
         for node in frontier:
             for i in j2:
                 row = simple_rows[i]
-                img = tuple(sorted((row[a], f) for a, f in node))
+                img = tuple(sorted(row[a] for a in node))
                 if img not in orbit:
                     orbit.add(img)
                     nxt.append(img)
@@ -378,28 +400,29 @@ def full_rank_subsystems(
     if method not in ("bds", "brute_force"):
         raise ValueError(f"unknown method {method!r}")
     roots = rs.roots
-    reps: dict[tuple, tuple[int, ...]] = {}
+    reps: dict[tuple, tuple[tuple[int, ...], Components]] = {}
+    # the queue stays sorted, so both methods pop the least member tuple first;
+    # bds queues (and keys) a child reached from several parents once
     if method == "brute_force":
-        for members in sorted(tuple(sorted(c)) for c in _brute_force_sets(rs)):
-            reps.setdefault(_conjugacy_key(rs, frozenset(members)), members)
+        queue = sorted((tuple(sorted(s)), s) for s in _brute_force_sets(rs))
     else:
-        # a child reached from several parents is queued (and keyed) once;
-        # the queue stays sorted, so the walk pops the least member tuple
         queue = [(tuple(range(len(roots))), frozenset(range(len(roots))))]
-        queued = {queue[0][1]}
-        while queue:
-            members, s = queue.pop(0)
-            key = _conjugacy_key(rs, s)
-            if key in reps:
-                continue
-            reps[key] = members
+    queued = {s for _, s in queue}
+    while queue:
+        members, s = queue.pop(0)
+        comps = _components(rs, s)
+        key = _conjugacy_key(rs, s, comps)
+        if key in reps:
+            continue
+        reps[key] = members, comps
+        if method == "bds":
             # the key refuses a child that lost full rank
-            for child in _children(rs, s) - queued:
+            for child in _children(rs, s, comps) - queued:
                 queued.add(child)
                 bisect.insort(queue, (tuple(sorted(child)), child))
 
-    out = [Subsystem(tuple(roots[b] for b in members), _label(rs, frozenset(members)))
-           for members in reps.values()]
+    out = [Subsystem(tuple(roots[b] for b in members), _label(rs, comps))
+           for members, comps in reps.values()]
     return tuple(sorted(out, key=lambda sub: (sub.label, sub.roots)))
 
 
@@ -427,9 +450,9 @@ def _brute_force_sets(rs: RootSystem) -> set[IndexSet]:
 
 def _coroot_basis(rs: RootSystem, s: IndexSet) -> list[tuple[int, ...]]:
     """Coweight rows of the simple coroots of a reflection-closed set, a basis
-    of its coroot lattice (the coroot of 2 beta is half that of beta)."""
-    return [rs.coroot_coweight_coords(rs.roots[a])
-            for a in _simple_system(rs, _indivisible_part(rs, s, "coroot"))]
+    of its coroot lattice."""
+    simple = _simple_system(rs, _indivisible_part(rs, s, "root"))
+    return [rs.coroot_coweight_coords(rs.roots[a]) for a in _coroot_simple(rs, s, simple)]
 
 
 def class_divisors(rs: RootSystem, roots: Iterable[Root]) -> tuple[int, ...]:

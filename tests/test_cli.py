@@ -547,6 +547,35 @@ def test_abbreviated_flags_are_refused(capsys, argv):
     assert "usage:" in err and "Traceback" not in err
 
 
+_REPEATED_ARGVS = {
+    "re": ("--re", ("class", "--type", "A2", "--re", "1/2,1/2", "--re", "1,1")),
+    "re-negative": ("--re", ("class", "--type", "A2", "--re", "-1/2,1/2", "--re", "-1,1")),
+    "re-joined": ("--re", ("class", "--type", "A2", "--re=1/2,1/2", "--re", "1,1")),
+    "type": ("--type", ("build", "--type", "A2", "--type", "B2")),
+    "type-joined": ("--type", ("build", "--type=A2", "--type=A2")),
+    "method": ("--method", ("subsystems", "--type", "B2", "--method", "bds",
+                            "--method", "brute_force")),
+    "subspace": ("--subspace", ("negativity", "--type", "A2", "--re", "1,1", "--mode", "weak",
+                                "--subspace", "1,0", "--subspace=-1,0")),
+    "pretty": ("--pretty", ("snf", "--matrix", "2", "--pretty", "--pretty")),
+}
+
+
+@pytest.mark.parametrize("flag,argv", _REPEATED_ARGVS.values(), ids=_REPEATED_ARGVS.keys())
+def test_a_flag_given_twice_is_refused(capsys, flag, argv):
+    # argparse would keep the last value without a word
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {flag} is given twice\n")
+
+
+@pytest.mark.parametrize("value", ["-1/2", "1/2"])
+def test_a_flag_of_another_command_is_quoted_as_typed(capsys, value):
+    # only the command's own signed flags are joined to their values
+    code, out, err = invoke(capsys, "build", "--type", "A2", "--re", value)
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: --re {value}\n" in err
+
+
 _HELP_COMMANDS = ("build", "nsigma", "subsystems", "class", "gallery", "edge", "negativity",
                   "fundamental", "exponent", "rank-one-bound", "snf", "verify")
 

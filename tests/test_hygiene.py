@@ -8,6 +8,10 @@ Every top-level public function and class, and every public method of a
 top-level class, is referenced somewhere in the program (src/, demos/,
 perfbench/) or in the README, other than at its own definition: as a name,
 an attribute, or an imported name (which covers the package's re-exports).
+
+Every top-level private function and class is referenced in src/ outside its
+own definition; tests do not count, so a helper left without a caller in the
+program is found.
 """
 
 from __future__ import annotations
@@ -156,3 +160,50 @@ def test_scan_flags_an_unreferenced_method():
     caller = ast.parse("k = Kept()\nk.used()\n")
     module = ast.parse("class Kept:\n    def used(self): pass\n    def unused(self): pass\n")
     assert _unreferenced(module, _referenced(caller)) == ["Kept.unused (line 3)"]
+
+
+def _top_level_references(trees) -> list[tuple[ast.stmt, set[str]]]:
+    """(statement, names it references) for every top-level statement."""
+    return [(node, _referenced(node)) for tree in trees for node in tree.body]
+
+
+def _unreferenced_private(tree: ast.Module, statements) -> list[str]:
+    """Top-level private functions and classes of tree that no statement
+    other than their own definition references."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    private = [node for node in tree.body if isinstance(node, kinds)
+               and node.name.startswith("_") and not node.name.endswith("__")]
+    return sorted(
+        f"{node.name} (line {node.lineno})" for node in private
+        if not any(other is not node and {node.name, "." + node.name} & names
+                   for other, names in statements)
+    )
+
+
+@functools.cache
+def _src_trees() -> dict[Path, ast.Module]:
+    paths = sorted(SRC.glob("*.py"))
+    return {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_private_helper_without_a_caller(path):
+    trees = _src_trees()
+    unreferenced = _unreferenced_private(trees[path], _top_level_references(trees.values()))
+    assert not unreferenced, (
+        f"{path.name} defines private names that nothing else in src/ references: "
+        f"{', '.join(unreferenced)}"
+    )
+
+
+def test_scan_flags_a_private_helper_without_a_caller():
+    source = (SRC / "subsystems.py").read_text(encoding="utf-8")
+    planted = ast.parse(source + "\n\ndef _planted(x):\n    return _planted(x)\n")
+    line = len(source.splitlines()) + 3
+    statements = _top_level_references([planted])
+    assert _unreferenced_private(planted, statements) == [f"_planted (line {line})"]
+    module = ast.parse("def _used(): pass\ndef _unused(): pass\nclass _Kept: pass\n"
+                       "def __getattr__(name): pass\n")
+    caller = ast.parse("import m\n_used()\nx: '_Kept'\n")
+    assert _unreferenced_private(module, _top_level_references([module, caller])) \
+        == ["_unused (line 2)"]

@@ -19,6 +19,7 @@ from rootneg.subsystems import (
     _component_affine,
     _components,
     _conjugacy_key,
+    _coroot_simple,
     _indivisible_part,
     _label,
     _side_coords,
@@ -205,9 +206,17 @@ def test_g2_length_class_subsystems():
     assert n_of_subsystem(rs, short_roots) == 3
 
 
+def _side_simple(rs, comp, side):
+    """The sorted simple roots of one component on one side."""
+    [(simple, _members)] = _components(rs, comp)
+    return tuple(sorted(simple if side == "root" else _coroot_simple(rs, comp, simple)))
+
+
 def _affine(rs, roots, side):
     """_component_affine on root vectors, through the root numbering."""
-    simple, top, marks = _component_affine(rs, _numbers(rs, roots), side)
+    comp = _numbers(rs, roots)
+    simple = _side_simple(rs, comp, side)
+    top, marks = _component_affine(rs, comp, simple, side)
     return tuple(rs.roots[b] for b in simple), rs.roots[top], marks
 
 
@@ -280,7 +289,8 @@ def test_affine_climb_matches_solving(name):
             for side in ("root", "coroot"):
                 comp_numbers = _numbers(rs, comp)
                 expected = _affine_by_solving(rs, comp_numbers, side)
-                assert _component_affine(rs, comp_numbers, side) == expected
+                simple = _side_simple(rs, comp_numbers, side)
+                assert (simple, *_component_affine(rs, comp_numbers, simple, side)) == expected
                 seen += 1
     assert seen > 2 * rs.rank
 
@@ -296,20 +306,36 @@ def test_bds_keys_each_candidate_once(monkeypatch):
     keyed = []
     original = subsystems._conjugacy_key
 
-    def counting_key(rs, s):
+    def counting_key(rs, s, comps):
         keyed.append(s)
-        return original(rs, s)
+        return original(rs, s, comps)
 
     monkeypatch.setattr(subsystems, "_conjugacy_key", counting_key)
     assert len(full_rank_subsystems(build_root_system("BC3"))) == 26
     assert len(keyed) == len(set(keyed)) == 43
 
 
+def test_bds_finds_the_components_of_each_candidate_once(monkeypatch):
+    # the key, the children and the label of a candidate share one record,
+    # and the coroot side's simple roots come from the root side's
+    calls = {"_components": 0, "_simple_system": 0}
+    for name in calls:
+        original = getattr(subsystems, name)
+
+        def counting(rs, s, name=name, original=original):
+            calls[name] += 1
+            return original(rs, s)
+
+        monkeypatch.setattr(subsystems, name, counting)
+    assert len(full_rank_subsystems(build_root_system("BC3"))) == 26
+    assert calls == {"_components": 43, "_simple_system": 43}
+
+
 #: the census functions that reflect and pair roots through the root table
 _TABLE_CODE = {
     "census", "full_rank_subsystems", "_children", "_saturate", "reflection_closure",
     "_brute_force_sets", "_conjugacy_key", "_components", "_label", "_component_affine",
-    "_simple_system", "_indivisible_part", "class_divisors", "_coroot_basis",
+    "_simple_system", "_indivisible_part", "class_divisors", "_coroot_basis", "_coroot_simple",
 }
 
 
@@ -539,7 +565,8 @@ def _bds_candidates(rs):
     seen = {full}
     stack = [full]
     while stack:
-        for child in _children(rs, stack.pop()):
+        s = stack.pop()
+        for child in _children(rs, s, _components(rs, s)):
             if child not in seen:
                 seen.add(child)
                 stack.append(child)
@@ -555,7 +582,7 @@ def _partition(sets, key):
 
 ORACLE_TYPES = [
     "A1", "A2", "A3", "B2", "B3", "C3", "G2", "BC1", "BC2", "BC3", "A1xA1",
-    "B2xA1", "D4", "B4", "C4", "F4", "A2xB2", "B2xG2",
+    "B2xA1", "D4", "B4", "C4", "F4", "A2xB2", "B2xG2", "D5", "B5",
 ]
 
 
@@ -574,7 +601,7 @@ def test_conjugacy_key_partitions_like_the_weyl_orbit(name):
             _numbers(rs, (w.apply_root(b) for b in _vectors(rs, s))) for s in reached for w in gens
         }
     oracle = _partition(sets, lambda s: _orbit_key(rs, _vectors(rs, s)))
-    assert _partition(sets, lambda s: _conjugacy_key(rs, s)) == oracle
+    assert _partition(sets, lambda s: _conjugacy_key(rs, s, _components(rs, s))) == oracle
     assert len(full_rank_subsystems(rs, "bds")) == len({b for b in oracle if b & reached})
 
 
@@ -653,7 +680,7 @@ def test_row_components_match_component_split(name):
                        for simple, members in _components(rs, s)), key=lambda c: sorted(c[0]))
         assert tuple(rows) == component_split(rs, _vectors(rs, s))
         assert all(rank == linalg.int_rank(comp) for comp, rank in rows)
-        assert _label(rs, s) == subsystem_label(rs, _vectors(rs, s))
+        assert _label(rs, _components(rs, s)) == subsystem_label(rs, _vectors(rs, s))
 
 
 def _divisors_by_all_coroots(rs, roots):
