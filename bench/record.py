@@ -2,7 +2,7 @@
 
 Usage, from the repository root:
 
-    python3 bench/record.py --out BENCH_10.json \
+    python3 bench/record.py --out BENCH_18.json \
         --tree parent=/path/to/parent/checkout --tree change=. [--seed 11]
 
 Each --tree is a label and a checkout holding src/ and perfbench/.  For
@@ -13,8 +13,9 @@ every tree the file gets:
   ``run_seconds``), with the runs themselves; the trees take turns run by
   run, so a slow drift of the machine hits both, and run r of two trees is
   one pair of a before/after comparison;
-- fresh-process CLI rows (wall seconds and peak RSS of one
-  ``python -m rootneg.cli`` process each) for the commands in CLI_ROWS;
+- fresh-process CLI rows for the commands in CLI_ROWS: the wall seconds
+  and peak RSS of one ``python -m rootneg.cli`` process, each as the median
+  over RUNS runs with the runs, taken in the same turns as the workloads;
 - the commit of the checkout, when it is a git checkout (``-dirty`` when
   its files differ from that commit).
 
@@ -37,11 +38,17 @@ from pathlib import Path
 #: runs per tree and workload: the fewest pairs that a claimed gain needs
 RUNS = 10
 
-#: fresh-process rows: the census commands that the root table speeds up
+#: fresh-process rows: census commands, where the computation dominates, and
+#: commands whose process time is mostly interpreter start and module imports
 CLI_ROWS = (
     ("subsystems", "--type", "BC6"),
     ("subsystems", "--type", "B12"),
     ("nsigma", "--type", "E8"),
+    ("build", "--type", "A2"),
+    ("snf", "--matrix", "2,1;0,2"),
+    ("rank-one-bound", "--type", "A2"),
+    ("exponent", "--spherical", "1/2,0;1/3,1", "--mu", "5/2,2", "--rhoq", "1/2,1/3",
+     "--nu", "0,1/2", "--n", "6"),
 )
 
 
@@ -66,16 +73,24 @@ def _perfbench(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     return row
 
 
-def _cli_row(tree: Path, argv: tuple[str, ...]) -> dict:
-    """Wall time and peak RSS of one fresh CLI process; stdout is dropped."""
+def _cli_run(tree: Path, argv: tuple[str, ...]) -> dict:
+    """Exit code, wall time and peak RSS of one fresh CLI process; stdout is
+    dropped."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     start = time.perf_counter()
     proc = subprocess.Popen([sys.executable, "-m", "rootneg.cli", *argv],
                             env=env, stdout=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - start
-    return {"argv": list(argv), "exit_code": os.waitstatus_to_exitcode(status),
+    return {"exit_code": os.waitstatus_to_exitcode(status),
             "wall_s": round(wall, 3), "peak_rss_mb": round(usage.ru_maxrss / 1024, 1)}
+
+
+def _summary(rows: list[dict]) -> dict:
+    """Per metric of the rows, the median and the runs."""
+    return {name: {"median": statistics.median(row[name] for row in rows),
+                   "runs": [row[name] for row in rows]}
+            for name in rows[0]}
 
 
 def main(argv=None) -> int:
@@ -95,13 +110,20 @@ def main(argv=None) -> int:
     seconds = benchmark["run_seconds"]
 
     runs: dict[str, dict[str, list[dict]]] = {label: {w: [] for w in workloads} for label in trees}
+    cli_runs: dict[str, list[list[dict]]] = {label: [[] for _ in CLI_ROWS] for label in trees}
     order = list(trees)
     for r in range(RUNS):
+        turn = order if r % 2 == 0 else order[::-1]
         for workload in workloads:
-            for label in order if r % 2 == 0 else order[::-1]:
+            for label in turn:
                 row = _perfbench(trees[label], workload, args.seed, seconds)
                 runs[label][workload].append(row)
                 print(f"run {r + 1}/{RUNS} {workload} {label}: {row}", file=sys.stderr)
+        for i, cli_argv in enumerate(CLI_ROWS):
+            for label in turn:
+                row = _cli_run(trees[label], cli_argv)
+                cli_runs[label][i].append(row)
+                print(f"run {r + 1}/{RUNS} {' '.join(cli_argv)} {label}: {row}", file=sys.stderr)
 
     doc = {
         "python": platform.python_version(),
@@ -113,17 +135,9 @@ def main(argv=None) -> int:
         "trees": {},
     }
     for label, tree in trees.items():
-        perfbench = {}
-        for workload, rows in runs[label].items():
-            perfbench[workload] = {
-                name: {"median": statistics.median(row[name] for row in rows),
-                       "runs": [row[name] for row in rows]}
-                for name in rows[0]
-            }
-        cli = []
-        for cli_argv in CLI_ROWS:
-            cli.append(_cli_row(tree, cli_argv))
-            print(f"{label}: {cli[-1]}", file=sys.stderr)
+        perfbench = {workload: _summary(rows) for workload, rows in runs[label].items()}
+        cli = [{"argv": list(cli_argv), **_summary(rows)}
+               for cli_argv, rows in zip(CLI_ROWS, cli_runs[label])]
         doc["trees"][label] = {"commit": _commit(tree), "perfbench": perfbench, "cli": cli}
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return 0

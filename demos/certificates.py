@@ -9,15 +9,14 @@ Run:  python3 demos/certificates.py
 
 from fractions import Fraction as Q
 
+from rootneg.exponent import certify_exponent
 from rootneg.negativity import (
     NegativityQuery,
-    certify_exponent,
     check_class_negativity,
     check_negativity,
-    rank_one_bound,
     verify_fundamental_lemma,
 )
-from rootneg.rootsys import Parameter, build_root_system
+from rootneg.rootsys import Parameter, build_root_system, rank_one_bound
 
 rs = build_root_system("A2")
 

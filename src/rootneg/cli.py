@@ -32,19 +32,6 @@ import sys
 from fractions import Fraction as Q
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .lattice import smith_normal_form
-from .negativity import (
-    certify_exponent,
-    check_class_negativity,
-    rank_one_bound,
-    verify_fundamental_lemma,
-)
-from .params import (
-    SubspaceBasis,
-    chamber_count,
-    chamber_walk,
-    edge,
-)
 from .rootsys import (
     WEYL_ORDER_LIMIT,
     CapacityError,
@@ -52,10 +39,9 @@ from .rootsys import (
     RootSystem,
     build_root_system,
     dual,
+    rank_one_bound,
     weyl_order,
 )
-from .subsystems import census
-from .verification import run_all
 
 JsonDoc = dict
 
@@ -116,6 +102,8 @@ def _parameter(rs: RootSystem, args: argparse.Namespace) -> Parameter:
 
 
 def _subspace(rs: RootSystem, text: Optional[str]) -> Optional[SubspaceBasis]:
+    from .params import SubspaceBasis
+
     if text is None:
         return None
     rows = _parse_q_matrix(text, "--subspace")
@@ -128,6 +116,8 @@ def _check_chambers(rs: RootSystem, lam: Parameter) -> None:
     """Refuse lam when its gallery, which bounds its move class at every
     denominator, has more than WEYL_ORDER_LIMIT chambers; the count is at
     most |W|, so it is computed only when |W| is above the limit."""
+    from .params import chamber_count
+
     if weyl_order(rs.spec) <= WEYL_ORDER_LIMIT:
         return
     count = chamber_count(rs, lam)
@@ -142,6 +132,8 @@ def _check_chambers(rs: RootSystem, lam: Parameter) -> None:
 # Commands.  Each handler reads the namespace that run has filled in from the
 # command's table row (rs, lam, basis and the checked or parsed flag values)
 # and returns (document, exit_code); run puts the echoed prefix in front.
+# A handler imports the library module it runs when it runs, so a process
+# loads (and compiles) only what its command needs, beyond rootsys.
 
 def _cmd_build(args) -> tuple[JsonDoc, int]:
     rs = args.rs
@@ -201,6 +193,8 @@ def _store_nsigma_cache(path: str, cache: dict) -> None:
 
 
 def _cmd_nsigma(args) -> tuple[JsonDoc, int]:
+    from .subsystems import census
+
     key = f"{args.rs.spec}/{args.method}"
     path = os.path.join(args.cache_dir, "nsigma.json") if args.cache_dir else None
     cache = _load_nsigma_cache(path) if path else {}
@@ -221,6 +215,8 @@ def _cmd_nsigma(args) -> tuple[JsonDoc, int]:
 
 
 def _cmd_subsystems(args) -> tuple[JsonDoc, int]:
+    from .subsystems import census
+
     out = [
         {
             "label": s.label,
@@ -240,6 +236,8 @@ def _cmd_subsystems(args) -> tuple[JsonDoc, int]:
 
 
 def _cmd_class(args) -> tuple[JsonDoc, int]:
+    from .params import chamber_count, chamber_walk, edge
+
     walk = sorted(chamber_walk(args.rs, args.lam, args.denominator), key=lambda c: (c.re, c.im))
     # the gallery at denominator 1 has one chamber per coset of W(Sigma)
     count = chamber_count(args.rs, args.lam)
@@ -259,6 +257,8 @@ def _cmd_class(args) -> tuple[JsonDoc, int]:
 
 
 def _cmd_gallery(args) -> tuple[JsonDoc, int]:
+    from .params import chamber_walk
+
     gallery = chamber_walk(args.rs, args.lam)
     doc = {
         "size": len(gallery),
@@ -268,6 +268,8 @@ def _cmd_gallery(args) -> tuple[JsonDoc, int]:
 
 
 def _cmd_edge(args) -> tuple[JsonDoc, int]:
+    from .params import edge
+
     e = edge(args.rs, args.lam, args.denominator)
     doc = {
         "dim": e.dim,
@@ -277,6 +279,8 @@ def _cmd_edge(args) -> tuple[JsonDoc, int]:
 
 
 def _cmd_negativity(args) -> tuple[JsonDoc, int]:
+    from .negativity import check_class_negativity
+
     report = check_class_negativity(args.rs, args.lam, args.mode, args.basis, args.denominator)
     # the class report checks lam itself as the member with the empty word
     verdict = next(m.verdict for m in report.members if m.mu == args.lam)
@@ -293,6 +297,8 @@ def _cmd_negativity(args) -> tuple[JsonDoc, int]:
 
 
 def _cmd_fundamental(args) -> tuple[JsonDoc, int]:
+    from .negativity import verify_fundamental_lemma
+
     report = verify_fundamental_lemma(args.rs, args.lam, args.mode, args.basis, args.denominator)
     containing = report.containing_member
     doc = {
@@ -311,6 +317,8 @@ def _cmd_fundamental(args) -> tuple[JsonDoc, int]:
 
 
 def _cmd_exponent(args) -> tuple[JsonDoc, int]:
+    from .exponent import certify_exponent
+
     rank_z = len(args.mu)
     edge_dims = rank_z - len(args.spherical)
     cert = certify_exponent(rank_z, args.spherical, edge_dims, args.mu, args.rhoq, args.nu, args.n)
@@ -336,6 +344,8 @@ def _cmd_rank_one_bound(args) -> tuple[JsonDoc, int]:
 
 
 def _cmd_snf(args) -> tuple[JsonDoc, int]:
+    from .lattice import smith_normal_form
+
     res = smith_normal_form(args.matrix)
     doc = {
         "divisors": [str(d) for d in res.divisors],
@@ -347,6 +357,8 @@ def _cmd_snf(args) -> tuple[JsonDoc, int]:
 
 
 def _cmd_verify(args) -> tuple[JsonDoc, int]:
+    from .verification import run_all
+
     results = run_all()
     doc = {
         "ok": all(r.ok for r in results),

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Literal, Optional, Union
+from typing import Literal, Optional
 
 from . import linalg
 from .lattice import hermite_row_basis
@@ -35,9 +35,6 @@ from .rootsys import (
     Parameter,
     Root,
     RootSystem,
-    RootSystemSpec,
-    _cartan_from_gram,
-    _component_gram,
     root_coords_of,
 )
 from .simplex import feasible_mixed
@@ -330,93 +327,3 @@ def integral_class_constant(rs: RootSystem, lam: Parameter, denominator: int = 1
     strict predicate holds for the class).
     """
     return n_of_subsystem(rs, integral_roots(rs, lam, denominator))
-
-
-# ---------------------------------------------------------------------------
-# Exponent certificates over an opaque coordinate space
-
-@dataclass(frozen=True)
-class ExponentCertificate:
-    """Decomposition mu = rho_q + sum(c_alpha alpha) + i nu, with flags.
-
-    solvable: the real difference lies in the span of the spherical roots
-    (coefficients are then unique by independence).  lattice_ok: every
-    coefficient is a positive multiple of 1/denominator.  ds1_ok: strict
-    negativity of the difference on the compression cone away from its edge,
-    equivalent to all coefficients positive.  ds2_ok: the difference
-    vanishes on the edge of the compression cone.
-    """
-
-    solvable: bool
-    coefficients: Optional[Vec]
-    nu: Vec
-    lattice_ok: bool
-    ds1_ok: bool
-    ds2_ok: bool
-
-
-def certify_exponent(
-    rank_z: int,
-    spherical: tuple[Vec, ...],
-    edge_dims: int,
-    mu: Vec,
-    rho_q: Vec,
-    nu: Vec,
-    denominator: int = 1,
-) -> ExponentCertificate:
-    """Certify an exponent decomposition over the compression cone.
-
-    spherical lists linearly independent functionals (the cone is then
-    simplicial); edge_dims must equal rank_z minus their number and is
-    validated as an input-consistency check.  The real part of the exponent
-    is mu with the imaginary direction nu carried through unchanged.
-    """
-    if rank_z < 1:
-        raise ValueError("rank_z must be positive")
-    if denominator < 1:
-        raise ValueError("denominator must be a positive integer")
-    s_rows = [linalg.vec(v) for v in spherical]
-    for v in s_rows:
-        if len(v) != rank_z:
-            raise ValueError("spherical root length does not match rank_z")
-    mu_v, rho_v, nu_v = linalg.vec(mu), linalg.vec(rho_q), linalg.vec(nu)
-    for v in (mu_v, rho_v, nu_v):
-        if len(v) != rank_z:
-            raise ValueError("vector length does not match rank_z")
-    if linalg.rank(s_rows) != len(s_rows):
-        raise ValueError("spherical roots are linearly dependent")
-    if edge_dims != rank_z - len(s_rows):
-        raise ValueError(
-            f"edge_dims must be rank_z - |S| = {rank_z - len(s_rows)}, got {edge_dims}"
-        )
-    target = linalg.sub(mu_v, rho_v)
-    coeffs = (
-        linalg.solve(list(zip(*s_rows)), target) if s_rows else
-        (None if any(x != 0 for x in target) else ())
-    )
-    solvable = coeffs is not None
-    edge_basis = linalg.nullspace(s_rows, ncols=rank_z)
-    ds2_ok = all(linalg.dot(target, v) == 0 for v in edge_basis)
-    ds1_ok = solvable and all(c > 0 for c in coeffs)
-    lattice_ok = solvable and all(
-        c > 0 and (denominator * c).denominator == 1 for c in coeffs
-    )
-    return ExponentCertificate(solvable, coeffs, nu_v, lattice_ok, ds1_ok, ds2_ok)
-
-
-def rank_one_bound(m_type: Union[RootSystemSpec, str, None] = None) -> int:
-    """Denominator bound 18 d^2, d the determinant of the Cartan matrix.
-
-    The Cartan matrix is block diagonal, so d is the product of the
-    components' integer Cartan determinants; no roots are built.  The empty
-    type (no roots at all) gives d = 1, so the bound 18.
-    """
-    if m_type is None or (isinstance(m_type, str) and not m_type.strip()):
-        return 18
-    spec = RootSystemSpec.parse(m_type) if isinstance(m_type, str) else m_type
-    d = 1
-    for family, rank in spec.components:
-        d *= linalg.det(_cartan_from_gram(_component_gram(family, rank)))
-    if d.denominator != 1 or d <= 0:
-        raise AssertionError("Cartan determinant must be a positive integer")
-    return 18 * int(d) ** 2

@@ -149,6 +149,23 @@ def _cartan_from_gram(gram) -> list[list[int]]:
     return a
 
 
+def rank_one_bound(m_type: Union[RootSystemSpec, str, None] = None) -> int:
+    """Denominator bound 18 d^2, d the determinant of the Cartan matrix.
+
+    The Cartan matrix is block diagonal, so d is the product of the
+    components' integer Cartan determinants; no roots are built.  The empty
+    type (no roots at all) gives d = 1, so the bound 18.
+    """
+    if m_type is None or (isinstance(m_type, str) and not m_type.strip()):
+        return 18
+    spec = RootSystemSpec.parse(m_type) if isinstance(m_type, str) else m_type
+    d = math.prod(linalg.det(_cartan_from_gram(_component_gram(family, rank)))
+                  for family, rank in spec.components)
+    if d.denominator != 1 or d <= 0:
+        raise AssertionError("Cartan determinant must be a positive integer")
+    return 18 * int(d) ** 2
+
+
 def _gram_times(gram, beta: Root) -> list[int]:
     """The Gram matrix times beta: entry i is (alpha_i, beta)."""
     return [sum(g * b for g, b in zip(row, beta) if b) for row in gram]

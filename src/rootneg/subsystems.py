@@ -15,8 +15,9 @@ the commands that never build the table.
 Each candidate the census meets carries one record, its components with their
 simple roots (_components), found once with a single scan for simple roots.
 The key, the children and the label of a kept representative all read that
-record; the coroot-side simple roots follow from the root-side ones
-(_coroot_simple) instead of a second scan.
+record, and so does its divisor chain, through the simple roots that its
+Subsystem carries; the coroot-side simple roots follow from the root-side
+ones (_coroot_simple) instead of a second scan.
 
 Full-rank subsystems are listed up to W-conjugacy, exactly at every rank
 and without enumerating W: a subsystem's class is keyed by the dominant
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Literal, Optional
 
 from . import linalg
@@ -61,10 +62,17 @@ BRUTE_FORCE_MAX_RANK = 3
 
 @dataclass(frozen=True)
 class Subsystem:
-    """A subsystem presented by its sorted root list and a type label."""
+    """A subsystem presented by its sorted root list and a type label.
+
+    A census class also carries its simple roots on the coroot side, whose
+    coroots are its simple coroots, as the census found them; they follow
+    from the roots, so they take no part in comparisons, and
+    parabolic_closure leaves them empty.
+    """
 
     roots: tuple[Root, ...]
     label: str
+    coroot_simple: tuple[Root, ...] = field(default=(), compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +429,9 @@ def full_rank_subsystems(
                 queued.add(child)
                 bisect.insort(queue, (tuple(sorted(child)), child))
 
-    out = [Subsystem(tuple(roots[b] for b in members), _label(rs, comps))
+    out = [Subsystem(tuple(roots[b] for b in members), _label(rs, comps),
+                     tuple(roots[a] for simple, comp in comps
+                           for a in _coroot_simple(rs, comp, simple)))
            for members, comps in reps.values()]
     return tuple(sorted(out, key=lambda sub: (sub.label, sub.roots)))
 
@@ -448,11 +458,10 @@ def _brute_force_sets(rs: RootSystem) -> set[IndexSet]:
 # ---------------------------------------------------------------------------
 # Lattice constants
 
-def _coroot_basis(rs: RootSystem, s: IndexSet) -> list[tuple[int, ...]]:
-    """Coweight rows of the simple coroots of a reflection-closed set, a basis
-    of its coroot lattice."""
-    simple = _simple_system(rs, _indivisible_part(rs, s, "root"))
-    return [rs.coroot_coweight_coords(rs.roots[a]) for a in _coroot_simple(rs, s, simple)]
+def _ambient_basis(rs: RootSystem) -> list[tuple[int, ...]]:
+    """Coweight rows of the simple coroots of rs, a basis of its coroot
+    lattice; on a BC component the short simple root gives way to its double."""
+    return [rs.coroot_coweight_coords(rs.double_of(b) or b) for b in rs.simple_roots]
 
 
 def class_divisors(rs: RootSystem, roots: Iterable[Root]) -> tuple[int, ...]:
@@ -471,7 +480,9 @@ def class_divisors(rs: RootSystem, roots: Iterable[Root]) -> tuple[int, ...]:
     s = frozenset(index[r] for r in items)
     if reflection_closure(rs, s) != s:
         raise ValueError("subsystem is not reflection-closed")
-    return quotient_divisors(_coroot_basis(rs, s), _coroot_basis(rs, frozenset(index.values())))
+    simple = _coroot_simple(rs, s, _simple_system(rs, _indivisible_part(rs, s, "root")))
+    return quotient_divisors([rs.coroot_coweight_coords(rs.roots[a]) for a in simple],
+                             _ambient_basis(rs))
 
 
 def n_of_subsystem(rs: RootSystem, roots: Iterable[Root]) -> int:
@@ -483,11 +494,11 @@ def n_of_subsystem(rs: RootSystem, roots: Iterable[Root]) -> int:
 def census(
     rs: RootSystem, method: Literal["bds", "brute_force"] = "bds"
 ) -> tuple[tuple[Subsystem, tuple[int, ...]], ...]:
-    """Every full-rank subsystem class with its divisor chain."""
-    index = rs.table.index
-    ambient = _coroot_basis(rs, frozenset(index.values()))
-    return tuple((s, quotient_divisors(_coroot_basis(rs, frozenset(map(index.get, s.roots))),
-                                       ambient)) for s in full_rank_subsystems(rs, method))
+    """Every full-rank subsystem class with its divisor chain, read off the
+    simple coroots that the census found for it."""
+    ambient = _ambient_basis(rs)
+    return tuple((s, quotient_divisors(map(rs.coroot_coweight_coords, s.coroot_simple), ambient))
+                 for s in full_rank_subsystems(rs, method))
 
 
 def n_sigma(rs: RootSystem, method: Literal["bds", "brute_force"] = "bds") -> int:

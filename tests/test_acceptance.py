@@ -13,8 +13,9 @@ import sys
 import time
 from fractions import Fraction as Q
 
-from rootneg.negativity import certify_exponent, rank_one_bound, verify_fundamental_lemma
-from rootneg.rootsys import build_root_system
+from rootneg.exponent import certify_exponent
+from rootneg.negativity import verify_fundamental_lemma
+from rootneg.rootsys import build_root_system, rank_one_bound
 from rootneg.subsystems import full_rank_subsystems, n_of_subsystem, n_sigma
 from rootneg.verification import (
     check_chamber_gallery_agreement,

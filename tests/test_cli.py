@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import importlib
 import json
 import os
+import pkgutil
 import random
 import shutil
 import subprocess
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import rootneg
 from rootneg.cli import run
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -276,7 +279,13 @@ def test_capacity_guard_names_limit(capsys):
 
 
 def _forbid(monkeypatch, *names):
-    """Make every binding of each name in the rootneg modules raise when called."""
+    """Make every binding of each name in the rootneg modules raise when called.
+
+    The cli imports library modules when a command runs, so every module is
+    loaded first: one loaded under the patch would keep the refusing binding.
+    """
+    for info in pkgutil.iter_modules(rootneg.__path__):
+        importlib.import_module(f"rootneg.{info.name}")
     for module in [m for n, m in sys.modules.items() if n == "rootneg" or n.startswith("rootneg.")]:
         for name in names:
             if hasattr(module, name):
@@ -369,8 +378,9 @@ _WALKING_CASES = [
 
 
 def test_golden_commands_walk_each_parameter_once(capsys, monkeypatch):
-    # every module that calls chamber_walk by name sees the counting wrapper
-    from rootneg import cli, negativity, params
+    # every module that calls chamber_walk by name sees the counting wrapper;
+    # the cli handlers import it from params when they run
+    from rootneg import negativity, params
 
     original = params.chamber_walk
     calls = []
@@ -379,7 +389,7 @@ def test_golden_commands_walk_each_parameter_once(capsys, monkeypatch):
         calls.append((lam, denominator))
         return original(rs, lam, denominator)
 
-    for module in (params, negativity, cli):
+    for module in (params, negativity):
         monkeypatch.setattr(module, "chamber_walk", counting)
     assert {case["argv"][0] for case in _WALKING_CASES} == set(_WALKING_COMMANDS)
     for case in _WALKING_CASES:
@@ -510,6 +520,56 @@ def test_reimport_releases_the_old_modules():
     assert done.stdout.strip() == "dead"
 
 
+_LOADED_SCRIPT = """
+import contextlib, io, json, sys
+import rootneg.cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = rootneg.cli.run(sys.argv[1:])
+loaded = sorted(n for n in sys.modules if n == "rootneg" or n.startswith("rootneg."))
+print(json.dumps({"exit_code": code, "stdout": out.getvalue(), "loaded": loaded}))
+"""
+
+_CORE = {"rootneg", "rootneg.rootsys", "rootneg.linalg", "rootneg.cli"}
+_CENSUS = _CORE | {"rootneg.subsystems", "rootneg.lattice"}
+_PARAMS = _CENSUS | {"rootneg.params"}
+_NEGATIVITY = _PARAMS | {"rootneg.negativity", "rootneg.simplex"}
+#: per command, one golden case and the rootneg modules a fresh process loads
+_LOADED = {
+    "build": ("build_a2", _CORE),
+    "rank-one-bound": ("rank_one_bound_a1", _CORE),
+    "exponent": ("exponent_rational_solvable", _CORE | {"rootneg.exponent"}),
+    "snf": ("snf_3x3", _CORE | {"rootneg.lattice"}),
+    "nsigma": ("nsigma_a2", _CENSUS),
+    "subsystems": ("subsystems_a2", _CENSUS),
+    "class": ("class_a2", _PARAMS),
+    "gallery": ("gallery_a2", _PARAMS),
+    "edge": ("edge_b2", _PARAMS),
+    "negativity": ("negativity_a2_strict", _NEGATIVITY),
+    "fundamental": ("fundamental_b2_strict", _NEGATIVITY),
+    "verify": ("verify", _NEGATIVITY | {"rootneg.verification"}),
+}
+
+
+def test_each_command_loads_only_the_modules_it_runs():
+    # a fresh interpreter per command, all started at once; a top-level
+    # import in cli.py would add its module to every command's set
+    assert set(_LOADED) == set(_HELP_COMMANDS)
+    cases = {name: json.loads((REPO_ROOT / "tests" / "golden" / f"{stem}.json")
+                              .read_text(encoding="utf-8"))
+             for name, (stem, _) in _LOADED.items()}
+    procs = {name: subprocess.Popen([sys.executable, "-c", _LOADED_SCRIPT, *case["argv"]],
+                                    stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+             for name, case in cases.items()}
+    for name, proc in procs.items():
+        out, _ = proc.communicate(timeout=300)
+        assert proc.returncode == 0, name
+        doc = json.loads(out)
+        case = cases[name]
+        assert (doc["exit_code"], doc["stdout"]) == (case["exit_code"], case["stdout"]), name
+        assert set(doc["loaded"]) == _LOADED[name][1], name
+
+
 _BARE_DASH_ARGVS = (
     ("snf", "--matrix", "--"),
     ("class", "--type", "A2", "--re", "--"),
@@ -593,12 +653,12 @@ def test_help_text_is_pinned(capsys, monkeypatch):
 
 
 def test_an_invariant_violation_exits_3(capsys, monkeypatch):
-    from rootneg import cli
+    from rootneg import params
 
     def planted(*args, **kwargs):
         raise AssertionError("planted")
 
-    monkeypatch.setattr(cli, "edge", planted)
+    monkeypatch.setattr(params, "edge", planted)
     code, out, err = invoke(capsys, "edge", "--type", "A2", "--re", "1/2,1/2")
     assert (code, out, err) == (3, "", "internal invariant violation: planted\n")
 

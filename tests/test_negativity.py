@@ -7,19 +7,18 @@ from fractions import Fraction as Q
 import pytest
 
 from rootneg import linalg, negativity, params, rootsys
+from rootneg.exponent import certify_exponent
 from rootneg.negativity import (
     NegativityQuery,
-    certify_exponent,
     check_class_negativity,
     check_negativity,
     integral_class_constant,
-    rank_one_bound,
     span_basis_of_integral_roots,
     verify_fundamental_lemma,
 )
 from rootneg.lattice import hermite_row_basis, quotient_divisors
 from rootneg.params import SubspaceBasis, edge, full_space, gallery_class, integral_roots
-from rootneg.rootsys import Parameter, build_root_system
+from rootneg.rootsys import Parameter, build_root_system, rank_one_bound
 from rootneg.subsystems import parabolic_closure
 from test_linalg import fraction_det
 from test_rootsys import minus_rho
@@ -336,7 +335,6 @@ def test_rank_one_bound_builds_no_roots(monkeypatch):
         raise AssertionError(f"built the roots of {spec}")
 
     monkeypatch.setattr(rootsys, "build_root_system", refuse)
-    monkeypatch.setattr(negativity, "build_root_system", refuse, raising=False)
     monkeypatch.setattr(rootsys.RootSystem, "__init__", refuse)
     assert rank_one_bound("A2xB3xG2") == 648
     assert rank_one_bound("A120") == 18 * 121**2

@@ -335,7 +335,7 @@ def test_bds_finds_the_components_of_each_candidate_once(monkeypatch):
 _TABLE_CODE = {
     "census", "full_rank_subsystems", "_children", "_saturate", "reflection_closure",
     "_brute_force_sets", "_conjugacy_key", "_components", "_label", "_component_affine",
-    "_simple_system", "_indivisible_part", "class_divisors", "_coroot_basis", "_coroot_simple",
+    "_simple_system", "_indivisible_part", "class_divisors", "_ambient_basis", "_coroot_simple",
 }
 
 
