@@ -552,22 +552,17 @@ _LOADED = {
 
 
 def test_each_command_loads_only_the_modules_it_runs():
-    # a fresh interpreter per command, all started at once; a top-level
-    # import in cli.py would add its module to every command's set
+    # a fresh interpreter per command; a top-level import in cli.py would add
+    # its module to every command's set
     assert set(_LOADED) == set(_HELP_COMMANDS)
-    cases = {name: json.loads((REPO_ROOT / "tests" / "golden" / f"{stem}.json")
-                              .read_text(encoding="utf-8"))
-             for name, (stem, _) in _LOADED.items()}
-    procs = {name: subprocess.Popen([sys.executable, "-c", _LOADED_SCRIPT, *case["argv"]],
-                                    stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
-             for name, case in cases.items()}
-    for name, proc in procs.items():
-        out, _ = proc.communicate(timeout=300)
-        assert proc.returncode == 0, name
-        doc = json.loads(out)
-        case = cases[name]
+    for name, (stem, expected) in _LOADED.items():
+        case = json.loads((REPO_ROOT / "tests" / "golden" / f"{stem}.json")
+                          .read_text(encoding="utf-8"))
+        done = subprocess.run([sys.executable, "-c", _LOADED_SCRIPT, *case["argv"]],
+                              capture_output=True, text=True, timeout=300, check=True)
+        doc = json.loads(done.stdout)
         assert (doc["exit_code"], doc["stdout"]) == (case["exit_code"], case["stdout"]), name
-        assert set(doc["loaded"]) == _LOADED[name][1], name
+        assert set(doc["loaded"]) == expected, name
 
 
 _BARE_DASH_ARGVS = (
