@@ -2,7 +2,9 @@
 
 The exponent, the shift and the spherical functionals arrive as plain
 rational vectors and no root system is involved, so the certificate needs
-only linalg: one exact solve and one nullspace.
+only linalg.  Rank and kernel do not see row scales, so each row is scaled
+to integers on its own, and both the edge and the coefficients are read off
+integer kernels.
 """
 
 from __future__ import annotations
@@ -60,19 +62,22 @@ def certify_exponent(
     for v in (mu_v, rho_v, nu_v):
         if len(v) != rank_z:
             raise ValueError("vector length does not match rank_z")
-    if linalg.rank(s_rows) != len(s_rows):
+    s_ints = [linalg.scaled_to_int(v) for v in s_rows]
+    if linalg.int_rank(s_ints) != len(s_ints):
         raise ValueError("spherical roots are linearly dependent")
     if edge_dims != rank_z - len(s_rows):
         raise ValueError(
             f"edge_dims must be rank_z - |S| = {rank_z - len(s_rows)}, got {edge_dims}"
         )
-    target = linalg.sub(mu_v, rho_v)
-    coeffs = (
-        linalg.solve(list(zip(*s_rows)), target) if s_rows else
-        (None if any(x != 0 for x in target) else ())
-    )
+    target = tuple(a - b for a, b in zip(mu_v, rho_v))
+    # Row j is (s_1[j], ..., s_k[j], -target[j]).  The s_k are independent,
+    # so only the last column can be free: the kernel is (c, 1) when
+    # target = sum(c_k s_k) and empty when no such c exists.
+    augmented = [linalg.scaled_to_int(row) for row in zip(*s_rows, (-t for t in target))]
+    solution = linalg.kernel(augmented, len(s_rows) + 1)
+    coeffs = solution[0][:-1] if solution else None
     solvable = coeffs is not None
-    edge_basis = linalg.nullspace(s_rows, ncols=rank_z)
+    edge_basis = linalg.kernel(s_ints, rank_z)
     ds2_ok = all(linalg.dot(target, v) == 0 for v in edge_basis)
     ds1_ok = solvable and all(c > 0 for c in coeffs)
     lattice_ok = solvable and all(

@@ -1,62 +1,32 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra on integer rows.
 
 There is one elimination, :class:`IntEchelon`: fraction-free row reduction
 of integer vectors (Bareiss 1968, *Math. Comp.* 22), each kept row divided by
-the gcd of its entries.  The rational routines (rref, solve, nullspace,
-inverse, rank, det) scale each row to integers first, which leaves its span
-unchanged, and divide only when they read off the answer.  The small helpers
-(vec, dot, mat_vec, ...) work on tuples of :class:`fractions.Fraction` (ints
-are promoted).  Nothing here ever touches floating point; every answer is
-exact.
+the gcd of its entries.  Its three readings take integer rows: the kernel
+basis, the determinant and the inverse over one common denominator.  A caller
+with rational rows scales each row to integers first (:func:`scaled_to_int`),
+which leaves rank and kernel unchanged.  Only the kernel basis is read off as
+:class:`fractions.Fraction`; vec and dot work on such vectors (ints are
+promoted).  Nothing here ever touches floating point; every answer is exact.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction as Q
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 Vec = tuple[Q, ...]
-Mat = tuple[Vec, ...]
 
 
 def vec(xs: Iterable) -> Vec:
     return tuple(Q(x) for x in xs)
 
 
-def mat(rows: Iterable[Iterable]) -> Mat:
-    return tuple(vec(r) for r in rows)
-
-
-def zeros(n: int) -> Vec:
-    return (Q(0),) * n
-
-
-def identity(n: int) -> Mat:
-    return tuple(tuple(Q(1) if i == j else Q(0) for j in range(n)) for i in range(n))
-
-
-def sub(x: Vec, y: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(x, y, strict=True))
-
-
 def dot(x: Sequence, y: Sequence) -> Q:
     if len(x) != len(y):
         raise ValueError("dimension mismatch")
     return sum((Q(a) * Q(b) for a, b in zip(x, y)), Q(0))
-
-
-def mat_vec(m: Mat, x: Vec) -> Vec:
-    return tuple(dot(row, x) for row in m)
-
-
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
-
-
-def transpose(m: Mat) -> Mat:
-    return tuple(zip(*m)) if m else ()
 
 
 def scaled_to_int(xs: Iterable) -> list[int]:
@@ -123,96 +93,61 @@ def int_rank(rows: Iterable[Iterable[int]]) -> int:
     return len(IntEchelon(rows))
 
 
-def rank(rows: Iterable[Iterable]) -> int:
-    return int_rank(scaled_to_int(r) for r in rows)
-
-
-def rref(rows: Iterable[Iterable]) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form and the pivot columns.
-
-    Zero rows are dropped, so the result's rows are a canonical basis of the
-    row space.  Each row is divided by its pivot entry only here, after the
-    integer elimination.
-    """
-    reduced = IntEchelon(scaled_to_int(r) for r in rows).back_substituted()
-    return (
-        tuple(tuple(Q(x, row[p]) for x in row) for p, row in reduced),
-        tuple(p for p, _ in reduced),
-    )
-
-
-def solve(a_rows: Iterable[Iterable], b: Iterable) -> Optional[Vec]:
-    """One exact solution x of A x = b, or None if the system is inconsistent.
-
-    When the solution space is positive-dimensional the free variables are set
-    to zero, which makes the answer deterministic.
-    """
-    a = [tuple(row) for row in a_rows]
-    rhs = tuple(b)
-    if len(a) != len(rhs):
-        raise ValueError("dimension mismatch")
-    ncols = len(a[0]) if a else 0
-    reduced, pivots = rref(row + (val,) for row, val in zip(a, rhs))
-    if pivots and pivots[-1] == ncols:
-        return None
-    x = [Q(0)] * ncols
-    for row, p in zip(reduced, pivots):
-        x[p] = row[-1]
-    return tuple(x)
-
-
-def nullspace(rows: Iterable[Iterable], ncols: Optional[int] = None) -> Mat:
-    """Canonical basis of {x : A x = 0}, one vector per free column."""
-    a = [tuple(row) for row in rows]
-    if ncols is None:
-        if not a:
-            raise ValueError("ncols required for an empty system")
-        ncols = len(a[0])
-    reduced, pivots = rref(a)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+def kernel(rows: Iterable[Iterable[int]], ncols: int) -> tuple[Vec, ...]:
+    """Canonical basis of {x : A x = 0}, one vector per free column: the
+    vector of free column f reads 1 at f and 0 at every other free column."""
+    reduced = IntEchelon(rows).back_substituted()
+    pivots = {p for p, _ in reduced}
     basis = []
-    for f in free:
+    for f in (c for c in range(ncols) if c not in pivots):
         v = [Q(0)] * ncols
         v[f] = Q(1)
-        for row, p in zip(reduced, pivots):
-            v[p] = -row[f]
+        for p, row in reduced:
+            v[p] = Q(-row[f], row[p])
         basis.append(tuple(v))
     return tuple(basis)
 
 
-def _with_identity(m: Mat) -> list[tuple]:
+def _with_identity(m: Sequence[Sequence[int]]) -> list[list[int]]:
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix is not square")
-    return [tuple(row) + tuple(int(i == j) for j in range(n)) for i, row in enumerate(m)]
+    return [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
 
 
-def inverse(m: Mat) -> Mat:
-    n = len(m)
-    reduced, pivots = rref(_with_identity(m))
-    if pivots != tuple(range(n)):
-        raise ValueError("matrix is singular")
-    return tuple(tuple(row[n:]) for row in reduced)
-
-
-def det(m: Mat) -> Q:
+def det(m: Sequence[Sequence[int]]) -> int:
     """Determinant, from the integer echelon of the rows of [m | I].
 
     Kept row k is c_k times row k of [m | I] plus a combination of earlier
     rows, so its identity half reads c_k at column n + k, and its m half is
     zero at the pivots of the rows before it.  det m is then the product of
     the pivot entries, signed by the order of the pivot columns, over the
-    product of the c_k; it is 0 when a pivot falls in the identity half.
+    product of the c_k, an exact division; it is 0 when a pivot falls in the
+    identity half.
     """
     n = len(m)
-    rows = IntEchelon(scaled_to_int(row) for row in _with_identity(m)).rows
+    rows = IntEchelon(_with_identity(m)).rows
     pivots = [p for p, _ in rows]
     if any(p >= n for p in pivots):
-        return Q(0)
+        return 0
     num = den = 1
     for k, (p, row) in enumerate(rows):
         num *= row[p]
         den *= row[n + k]
     inversions = sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1:])
-    return Q(-num if inversions % 2 else num, den)
+    return (-num if inversions % 2 else num) // den
+
+
+def inverse(m: Sequence[Sequence[int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(d, d m^-1) for the least d > 0 that makes d m^-1 integral.
+
+    Row k of the back-substituted [m | I] is p_k (e_k | row k of m^-1) with
+    no common factor, so |p_k| is the lcm of that row's denominators and d
+    is the lcm of the p_k.
+    """
+    n = len(m)
+    reduced = IntEchelon(_with_identity(m)).back_substituted()
+    if [p for p, _ in reduced] != list(range(n)):
+        raise ValueError("matrix is singular")
+    d = math.lcm(*(row[p] for p, row in reduced))
+    return d, tuple(tuple(x * (d // row[p]) for x in row[n:]) for p, row in reduced)

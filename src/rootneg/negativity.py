@@ -249,8 +249,8 @@ def _closure_lattice_index(
         raise AssertionError("parabolic closure left the span of its roots")
     if not roots:
         return 1
-    return int(abs(linalg.det([[sum(x * y for x, y in zip(g, c)) for c in coroots]
-                                for g in roots])))
+    return abs(linalg.det([[sum(x * y for x, y in zip(g, c)) for c in coroots]
+                           for g in roots]))
 
 
 def verify_fundamental_lemma(

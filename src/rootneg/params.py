@@ -67,7 +67,8 @@ class SubspaceBasis:
 
 
 def full_space(rs: RootSystem) -> SubspaceBasis:
-    return SubspaceBasis(rs.rank, tuple(linalg.identity(rs.rank)))
+    n = rs.rank
+    return SubspaceBasis(n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
 
 @dataclass(frozen=True)
@@ -215,9 +216,7 @@ def chamber_count(rs: RootSystem, lam: Parameter) -> int:
 def edge(rs: RootSystem, lam: Parameter, denominator: int = 1) -> SubspaceBasis:
     """Common kernel of the integral roots, as a canonical subspace basis."""
     sigma_pos = [b for b in integral_roots(rs, lam, denominator) if sum(b) > 0]
-    rows = [linalg.vec(b) for b in sigma_pos]
-    basis = linalg.nullspace(rows, ncols=rs.rank)
-    return SubspaceBasis(rs.rank, basis)
+    return SubspaceBasis(rs.rank, linalg.kernel(sigma_pos, rs.rank))
 
 
 def evaluate_on_coweight(rs: RootSystem, lam: Parameter, x: Vec) -> tuple[Q, Q]:

@@ -161,9 +161,9 @@ def rank_one_bound(m_type: Union[RootSystemSpec, str, None] = None) -> int:
     spec = RootSystemSpec.parse(m_type) if isinstance(m_type, str) else m_type
     d = math.prod(linalg.det(_cartan_from_gram(_component_gram(family, rank)))
                   for family, rank in spec.components)
-    if d.denominator != 1 or d <= 0:
-        raise AssertionError("Cartan determinant must be a positive integer")
-    return 18 * int(d) ** 2
+    if d <= 0:
+        raise AssertionError("Cartan determinant must be positive")
+    return 18 * d ** 2
 
 
 def _gram_times(gram, beta: Root) -> list[int]:
@@ -258,12 +258,7 @@ class RootSystem:
             tuple(row) for row in _cartan_from_gram(self.gram)
         )
         # The inverse Cartan matrix as integers over one common denominator.
-        cartan_inv = linalg.inverse(linalg.mat(self.cartan))
-        self._cartan_inv_den = math.lcm(*(x.denominator for row in cartan_inv for x in row))
-        self._cartan_inv = tuple(
-            tuple(x.numerator * (self._cartan_inv_den // x.denominator) for x in row)
-            for row in cartan_inv
-        )
+        self._cartan_inv_den, self._cartan_inv = linalg.inverse(self.cartan)
         self.simple_roots: tuple[Root, ...] = tuple(
             tuple(1 if j == i else 0 for j in range(self.rank)) for i in range(self.rank)
         )
@@ -453,17 +448,19 @@ def _scaled_root_coords(rs: RootSystem, lam: Parameter) -> tuple[int, Root, Root
 
 
 def parameter_from_root_coords(rs: RootSystem, re_c: Vec, im_c: Vec) -> Parameter:
-    a = linalg.mat(rs.cartan)
-    return Parameter(linalg.mat_vec(a, linalg.vec(re_c)), linalg.mat_vec(a, linalg.vec(im_c)))
+    """The parameter with root coordinates re_c + i im_c: the integer Cartan
+    matrix times each part."""
+    return Parameter(tuple(linalg.dot(row, re_c) for row in rs.cartan),
+                     tuple(linalg.dot(row, im_c) for row in rs.cartan))
 
 
 def rho(rs: RootSystem) -> Parameter:
     """Half the sum of the positive roots, as a Parameter."""
-    total = [Q(0)] * rs.rank
+    total = [0] * rs.rank
     for beta in rs.positive_roots:
         for j, b in enumerate(beta):
-            total[j] += Q(b, 2)
-    return parameter_from_root_coords(rs, tuple(total), linalg.zeros(rs.rank))
+            total[j] += b
+    return parameter_from_root_coords(rs, [Q(t, 2) for t in total], [0] * rs.rank)
 
 
 # ---------------------------------------------------------------------------

@@ -1,70 +1,110 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction as Q
 
 import pytest
+from fraction_oracle import (
+    fraction_det,
+    fraction_inverse,
+    fraction_nullspace,
+    fraction_rank,
+    fraction_rref,
+    fraction_solve,
+    mat_mul,
+    mat_vec,
+)
 
 from rootneg import linalg
 from rootneg.rootsys import build_root_system
 
 
+def _rref(rows):
+    """The back-substituted echelon of integer rows, each row divided by its
+    pivot entry, and the pivot columns."""
+    reduced = linalg.IntEchelon(rows).back_substituted()
+    return (tuple(tuple(Q(x, row[p]) for x in row) for p, row in reduced),
+            tuple(p for p, _ in reduced))
+
+
+def _solve(a, b):
+    """A x = b read off the kernel of [A | -b], each row scaled to integers:
+    when the last column is free, its kernel vector is (x, 1) with every
+    other free variable 0; otherwise there is no solution."""
+    rows = [linalg.scaled_to_int(list(row) + [-Q(val)]) for row, val in zip(a, b)]
+    ncols = len(a[0]) if a else 0
+    return next((v[:-1] for v in linalg.kernel(rows, ncols + 1) if v[-1]), None)
+
+
+def _scaled_inverse(m):
+    """(d, d m^-1) for the least d that makes d m^-1 integral, from the
+    oracle's inverse; None if m is singular."""
+    inv = fraction_inverse(m)
+    if inv is None:
+        return None
+    d = math.lcm(*(x.denominator for row in inv for x in row))
+    return d, tuple(tuple(int(d * x) for x in row) for row in inv)
+
+
 def test_rref_canonical_and_pivots():
-    rows = linalg.mat([[2, 4], [1, 2], [0, 1]])
-    reduced, pivots = linalg.rref(rows)
-    assert reduced == linalg.mat([[1, 0], [0, 1]])
-    assert pivots == (0, 1)
+    rows = [[2, 4], [1, 2], [0, 1]]
+    assert linalg.IntEchelon(rows).back_substituted() == [(0, [1, 0]), (1, [0, 1])]
+    assert _rref(rows) == fraction_rref(rows) == (((1, 0), (0, 1)), (0, 1))
 
 
 def test_rref_drops_zero_rows():
-    rows = linalg.mat([[1, 2], [2, 4]])
-    reduced, pivots = linalg.rref(rows)
-    assert reduced == linalg.mat([[1, 2]])
-    assert pivots == (0,)
+    rows = [[1, 2], [2, 4]]
+    assert linalg.IntEchelon(rows).back_substituted() == [(0, [1, 2])]
+    assert _rref(rows) == fraction_rref(rows) == (((1, 2),), (0,))
 
 
 def test_rank_and_span():
-    rows = linalg.mat([[1, 0, 1], [0, 1, 1], [1, 1, 2]])
-    assert linalg.rank(rows) == 2
-    basis, _ = linalg.rref(rows)
+    rows = [[1, 0, 1], [0, 1, 1], [1, 1, 2]]
+    assert linalg.int_rank(rows) == 2
+    basis = [row for _, row in linalg.IntEchelon(rows).back_substituted()]
     assert len(basis) == 2
-    assert linalg.rank(basis + (linalg.vec([2, 3, 5]),)) == 2
-    assert linalg.rank(basis + (linalg.vec([0, 0, 1]),)) == 3
+    assert linalg.int_rank(basis + [[2, 3, 5]]) == 2
+    assert linalg.int_rank(basis + [[0, 0, 1]]) == 3
     echelon = linalg.IntEchelon([[1, 0, 1], [0, 1, 1]])
     assert echelon.contains([2, 3, 5])
     assert not echelon.contains([0, 0, 1])
 
 
 def test_solve_exact_and_unsolvable():
-    a = linalg.mat([[1, 1], [1, -1]])
-    x = linalg.solve(a, linalg.vec([3, 1]))
+    x = _solve([[1, 1], [1, -1]], [3, 1])
     assert x == (Q(2), Q(1))
-    assert linalg.solve(linalg.mat([[1, 1], [2, 2]]), linalg.vec([0, 1])) is None
+    assert _solve([[1, 1], [2, 2]], [0, 1]) is None
 
 
 def test_solve_underdetermined_zeroes_free_variables():
-    a = linalg.mat([[1, 1, 1]])
-    x = linalg.solve(a, linalg.vec([5]))
+    a = [[1, 1, 1]]
+    x = _solve(a, [5])
     assert x is not None
-    assert linalg.mat_vec(a, x) == (Q(5),)
+    assert mat_vec(a, x) == (Q(5),)
     assert x.count(Q(0)) == 2
 
 
 def test_nullspace_dimensions():
-    rows = linalg.mat([[1, 1, 0], [0, 0, 1]])
-    null = linalg.nullspace(rows)
+    rows = [[1, 1, 0], [0, 0, 1]]
+    null = linalg.kernel(rows, 3)
     assert len(null) == 1
     for v in null:
-        assert linalg.mat_vec(rows, v) == (Q(0), Q(0))
-    assert len(linalg.nullspace((), ncols=3)) == 3
+        assert mat_vec(rows, v) == (Q(0), Q(0))
+    assert len(linalg.kernel((), 3)) == 3
 
 
 def test_inverse_and_det():
-    a = linalg.mat([[2, 1], [1, 1]])
-    inv = linalg.inverse(a)
-    assert linalg.mat_mul(a, inv) == linalg.identity(2)
-    assert linalg.det(a) == Q(1)
-    assert linalg.det(linalg.mat([[2, 4], [1, 2]])) == Q(0)
+    a = [[2, 1], [1, 1]]
+    d, inv = linalg.inverse(a)
+    assert (d, inv) == (1, ((1, -1), (-1, 2)))
+    assert mat_mul(a, inv) == ((1, 0), (0, 1))
+    assert linalg.inverse([[2, 0], [0, -3]]) == (6, ((3, 0), (0, -2)))
+    assert linalg.det(a) == 1 and isinstance(linalg.det(a), int)
+    assert linalg.det([[2, 4], [1, 2]]) == 0
+    assert linalg.det([[0, 2], [3, 0]]) == -6
+    with pytest.raises(ValueError, match="singular"):
+        linalg.inverse([[2, 4], [1, 2]])
 
 
 def test_solve_round_trip_random():
@@ -72,12 +112,12 @@ def test_solve_round_trip_random():
     for _ in range(200):
         n = rng.randint(1, 4)
         m = rng.randint(1, 4)
-        a = linalg.mat([[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)])
-        x = linalg.vec([Q(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)])
-        b = linalg.mat_vec(a, x)
-        sol = linalg.solve(a, b)
+        a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
+        x = [Q(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
+        b = mat_vec(a, x)
+        sol = _solve(a, b)
         assert sol is not None
-        assert linalg.mat_vec(a, sol) == b
+        assert mat_vec(a, sol) == b
 
 
 def test_inverse_round_trip_random():
@@ -85,11 +125,13 @@ def test_inverse_round_trip_random():
     found = 0
     while found < 50:
         n = rng.randint(1, 4)
-        a = linalg.mat([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
+        a = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
         if linalg.det(a) == 0:
             continue
         found += 1
-        assert linalg.mat_mul(linalg.inverse(a), a) == linalg.identity(n)
+        d, inv = linalg.inverse(a)
+        assert d > 0
+        assert mat_mul(inv, a) == tuple(tuple(d * int(i == j) for j in range(n)) for i in range(n))
 
 
 def test_nullspace_orthogonal_to_rows_random():
@@ -97,93 +139,11 @@ def test_nullspace_orthogonal_to_rows_random():
     for _ in range(100):
         m = rng.randint(1, 3)
         n = rng.randint(1, 5)
-        rows = linalg.mat([[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)])
-        null = linalg.nullspace(rows)
-        assert len(null) == n - linalg.rank(rows)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        null = linalg.kernel(rows, n)
+        assert len(null) == n - linalg.int_rank(rows)
         for v in null:
-            assert all(x == 0 for x in linalg.mat_vec(rows, v))
-
-
-# ---------------------------------------------------------------------------
-# Oracle: Fraction Gauss-Jordan elimination, the rational kernel that the
-# integer echelon replaced, and the routines it backed.
-
-def fraction_rref(rows):
-    """Reduced row echelon form (zero rows dropped) and the pivot columns."""
-    work = [list(linalg.vec(r)) for r in rows]
-    if not work:
-        return (), ()
-    ncols = len(work[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = Q(1) / work[r][c]
-        work[r] = [inv * x for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
-
-
-def fraction_det(m):
-    n = len(m)
-    work = [list(linalg.vec(row)) for row in m]
-    result = Q(1)
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if work[i][c] != 0), None)
-        if pivot_row is None:
-            return Q(0)
-        if pivot_row != c:
-            work[c], work[pivot_row] = work[pivot_row], work[c]
-            result = -result
-        result *= work[c][c]
-        inv = Q(1) / work[c][c]
-        for i in range(c + 1, n):
-            if work[i][c] != 0:
-                f = work[i][c] * inv
-                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
-    return result
-
-
-def _fraction_solve(a, b):
-    ncols = len(a[0]) if a else 0
-    reduced, pivots = fraction_rref([list(row) + [val] for row, val in zip(a, b)])
-    if ncols in pivots:
-        return None
-    x = [Q(0)] * ncols
-    for row, p in zip(reduced, pivots):
-        x[p] = row[-1]
-    return tuple(x)
-
-
-def _fraction_nullspace(reduced, pivots, ncols):
-    basis = []
-    for f in (c for c in range(ncols) if c not in pivots):
-        v = [Q(0)] * ncols
-        v[f] = Q(1)
-        for row, p in zip(reduced, pivots):
-            v[p] = -row[f]
-        basis.append(tuple(v))
-    return tuple(basis)
-
-
-def _fraction_inverse(m):
-    n = len(m)
-    reduced, pivots = fraction_rref(
-        [list(row) + [Q(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
-    )
-    if pivots != tuple(range(n)):
-        return None
-    return tuple(tuple(row[n:]) for row in reduced)
+            assert all(x == 0 for x in mat_vec(rows, v))
 
 
 def _inverse_or_none(m):
@@ -195,14 +155,17 @@ def _inverse_or_none(m):
 
 
 def _agrees_with_oracle(rows, ncols, b):
+    """The integer routines on rows, each scaled to integers, against the
+    Fraction oracle on the rows as given."""
+    int_rows = [linalg.scaled_to_int(r) for r in rows]
     reduced, pivots = fraction_rref(rows)
-    assert linalg.rref(rows) == (reduced, pivots)
-    assert linalg.rank(rows) == len(reduced)
-    assert linalg.nullspace(rows, ncols) == _fraction_nullspace(reduced, pivots, ncols)
-    assert linalg.solve(rows, b) == _fraction_solve(rows, b)
+    assert _rref(int_rows) == (reduced, pivots)
+    assert linalg.int_rank(int_rows) == len(reduced)
+    assert linalg.kernel(int_rows, ncols) == fraction_nullspace(rows, ncols)
+    assert _solve(rows, b) == fraction_solve(rows, b)
     if len(rows) == ncols:
-        assert linalg.det(rows) == fraction_det(rows)
-        assert _inverse_or_none(rows) == _fraction_inverse(rows)
+        assert linalg.det(int_rows) == fraction_det(int_rows)
+        assert _inverse_or_none(int_rows) == _scaled_inverse(int_rows)
 
 
 def _random_system(rng):
@@ -233,7 +196,7 @@ def test_kernel_matches_fraction_oracle_on_random_systems():
     for _ in range(5000):
         rows, ncols, b = _random_system(rng)
         _agrees_with_oracle(rows, ncols, b)
-        rank = len(fraction_rref(rows)[0])
+        rank = fraction_rank(rows)
         kinds["empty"] += not rows
         kinds["zero_row"] += any(not any(r) for r in rows)
         kinds["deficient"] += rank < min(len(rows), ncols)
@@ -251,8 +214,10 @@ CARTAN_TYPES = (
 
 @pytest.mark.parametrize("name", CARTAN_TYPES)
 def test_kernel_matches_fraction_oracle_on_cartan_matrices(name):
-    cartan = [list(row) for row in build_root_system(name).cartan]
+    rs = build_root_system(name)
+    cartan = [list(row) for row in rs.cartan]
     n = len(cartan)
     _agrees_with_oracle(cartan, n, [1] * n)
     _agrees_with_oracle([list(col) for col in zip(*cartan)], n, list(range(n)))
     assert linalg.det(cartan) > 0
+    assert (rs._cartan_inv_den, rs._cartan_inv) == _scaled_inverse(cartan)

@@ -5,6 +5,12 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from fraction_oracle import (
+    fraction_inverse,
+    fraction_nullspace,
+    fraction_rank,
+    fraction_solve,
+)
 
 from rootneg import linalg, negativity, params, rootsys
 from rootneg.exponent import certify_exponent
@@ -115,7 +121,7 @@ def weight_lattice_basis(rs, sigma):
         return (), ()
     coroot_basis = hermite_row_basis(rs.coroot_coweight_coords(b) for b in sigma if sum(b) > 0)
     g = [[linalg.dot(s, m) for m in coroot_basis] for s in s_basis]
-    return s_basis, tuple(linalg.inverse(linalg.mat(g)))
+    return s_basis, fraction_inverse(g)
 
 
 def closure_lattice_index_oracle(rs, sigma, closure):
@@ -124,12 +130,12 @@ def closure_lattice_index_oracle(rs, sigma, closure):
     s_basis, weight_basis = weight_lattice_basis(rs, sigma)
     if not s_basis:
         return 1
-    cols = list(zip(*[linalg.vec(s) for s in s_basis]))
+    cols = list(zip(*s_basis))
     root_gens = []
     for gamma in closure.roots:
         if sum(gamma) <= 0:
             continue
-        sol = linalg.solve(cols, linalg.vec(gamma))
+        sol = fraction_solve(cols, gamma)
         assert sol is not None, "parabolic closure left the span of its roots"
         root_gens.append(sol)
     return math.prod(quotient_divisors(root_gens, weight_basis))
@@ -167,7 +173,7 @@ def test_closure_lattice_index_matches_the_weight_lattice_oracle(name, count):
             assert negativity._closure_lattice_index(rs, sigma_pos, closure) == expected, (lam, n)
             # the old strict-mode test: a trivial edge and full-rank coroots
             coroots = linalg.int_rank(rs.coroot_coweight_coords(b) for b in sigma_pos)
-            old_trivial = not linalg.nullspace(sigma_pos, ncols=rs.rank) and coroots == rs.rank
+            old_trivial = not fraction_nullspace(sigma_pos, rs.rank) and coroots == rs.rank
             assert (edge(rs, lam, n).dim == 0) == old_trivial, (lam, n)
 
 
@@ -186,7 +192,7 @@ def test_fundamental_report_matches_the_old_lattice_and_edge_checks(name):
                 for beta in rs.positive_roots
             ), (lam, n)
             coroots = linalg.int_rank(rs.coroot_coweight_coords(b) for b in sigma_pos)
-            nullspace = linalg.nullspace(sigma_pos, ncols=rs.rank)
+            nullspace = fraction_nullspace(sigma_pos, rs.rank)
             assert report.edge_trivial == (not nullspace and coroots == rs.rank), (lam, n)
             assert report.edge_basis.vectors == nullspace, (lam, n)
 
@@ -314,6 +320,66 @@ def test_certify_exponent_validation():
         certify_exponent(1, (), 1, (0,), (0,), (0,), denominator=0)
 
 
+def _exponent_oracle(rank_z, spherical, mu, rho_q, nu, denominator):
+    """certify_exponent's fields from a Fraction solve and nullspace, or
+    None when the spherical rows are dependent."""
+    if fraction_rank(spherical) != len(spherical):
+        return None
+    target = [Q(a) - Q(b) for a, b in zip(mu, rho_q)]
+    if spherical:
+        coeffs = fraction_solve(list(zip(*spherical)), target)
+    else:
+        coeffs = None if any(target) else ()
+    solvable = coeffs is not None
+    edge_basis = fraction_nullspace(spherical, rank_z)
+    return {
+        "solvable": solvable,
+        "coefficients": coeffs,
+        "nu": tuple(Q(x) for x in nu),
+        "lattice_ok": solvable and all(c > 0 and (denominator * c).denominator == 1
+                                       for c in coeffs),
+        "ds1_ok": solvable and all(c > 0 for c in coeffs),
+        "ds2_ok": all(sum(t * v for t, v in zip(target, b)) == 0 for b in edge_basis),
+    }
+
+
+def test_certify_exponent_matches_fraction_oracle():
+    rng = random.Random("exponent oracle")
+    values = (0, 0, 1, -1, 2, -3, Q(1, 2), Q(-2, 3), Q(5, 4))
+    kinds = {"empty": 0, "dependent": 0, "unsolvable": 0, "solvable": 0}
+    for _ in range(3000):
+        rank_z = rng.randint(1, 4)
+        k = rng.randint(0, rank_z)
+        spherical = [[rng.choice(values) for _ in range(rank_z)] for _ in range(k)]
+        if k > 1 and rng.random() < 0.2:
+            i, j = rng.sample(range(k), 2)
+            spherical[i] = [Q(rng.choice((1, -2, 3)), rng.choice((1, 2))) * x for x in spherical[j]]
+        rho_q = [rng.choice(values) for _ in range(rank_z)]
+        if rng.random() < 0.5:
+            # a real part in rho_q plus the span of the spherical rows
+            cs = [rng.choice(values) for _ in spherical]
+            mu = [r + sum((c * Q(s[j]) for c, s in zip(cs, spherical)), Q(0))
+                  for j, r in enumerate(rho_q)]
+        else:
+            mu = [rng.choice(values) for _ in range(rank_z)]
+        nu = [rng.choice(values) for _ in range(rank_z)]
+        denominator = rng.randint(1, 6)
+        expected = _exponent_oracle(rank_z, spherical, mu, rho_q, nu, denominator)
+        args = (rank_z, tuple(map(tuple, spherical)), rank_z - k, tuple(mu), tuple(rho_q),
+                tuple(nu), denominator)
+        kinds["empty"] += not spherical
+        if expected is None:
+            kinds["dependent"] += 1
+            with pytest.raises(ValueError, match="linearly dependent"):
+                certify_exponent(*args)
+            continue
+        kinds["solvable" if expected["solvable"] else "unsolvable"] += 1
+        cert = certify_exponent(*args)
+        for field, value in expected.items():
+            assert getattr(cert, field) == value, (field, args)
+    assert min(kinds.values()) >= 200, kinds
+
+
 def test_rank_one_bound_values():
     assert rank_one_bound() == 18
     assert rank_one_bound(None) == 18
@@ -357,7 +423,7 @@ def test_witness_actually_certifies():
             # solve cartan . c = re(lam) for the root coordinates of lam,
             # then check (lam - omega)(fundamental coweight i) = c_i - omega_i < 0
             cols = [[Q(rs.cartan[i][j]) for j in range(rs.rank)] for i in range(rs.rank)]
-            re_root = linalg.solve(cols, [Q(x) for x in lam.re])
+            re_root = fraction_solve(cols, lam.re)
             assert re_root is not None
             for i in range(rs.rank):
                 omega_i = sum(
@@ -370,7 +436,7 @@ def _rank_span_basis(sigma):
     """The first maximal independent subset, by rank growth (the definition)."""
     basis = []
     for beta in sigma:
-        if sum(beta) > 0 and linalg.rank(basis + [beta]) > len(basis):
+        if sum(beta) > 0 and fraction_rank(basis + [beta]) > len(basis):
             basis.append(beta)
     return tuple(basis)
 

@@ -4,8 +4,8 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from fraction_oracle import fraction_inverse, mat_vec
 
-from rootneg import linalg
 from rootneg.rootsys import (
     CapacityError,
     Parameter,
@@ -464,13 +464,13 @@ def test_check_enumerable_is_the_weyl_group_guard():
 @pytest.mark.parametrize("name", ORACLE_TYPES + ("A3", "D4", "E6"))
 def test_root_coords_of_matches_fraction_inverse(name):
     rs = build_root_system(name)
-    inv = linalg.inverse(linalg.mat(rs.cartan))
+    inv = fraction_inverse(rs.cartan)
     rng = random.Random(f"root_coords/{name}")
     for _ in range(10):
         lam = _seeded_parameter(rng, rs.rank)
         assert root_coords_of(rs, lam) == (
-            linalg.mat_vec(inv, linalg.vec(lam.re)),
-            linalg.mat_vec(inv, linalg.vec(lam.im)),
+            mat_vec(inv, lam.re),
+            mat_vec(inv, lam.im),
         )
     with pytest.raises(ValueError):
         root_coords_of(rs, Parameter.of([1] * (rs.rank + 1)))

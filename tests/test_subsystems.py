@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction as Q
 
 import pytest
+from fraction_oracle import fraction_solve
 
 from rootneg import linalg, subsystems
 from rootneg.lattice import quotient_divisors
@@ -267,14 +268,14 @@ def _affine_by_solving(rs, comp, side):
     reduced = _indivisible_part(rs, comp, side)
     simple = _simple_by_heights(rs, reduced, side)
     rows = [_side_coords(rs, roots[a], side) for a in simple]
-    h = linalg.solve(rows, [1] * len(simple))
+    h = fraction_solve(rows, [1] * len(simple))
     heights = {
         b: sum(x * y for x, y in zip(h, _side_coords(rs, roots[b], side)))
         for b in reduced if b >= len(roots) // 2
     }
     top = max(heights, key=heights.get)
     assert [b for b, v in heights.items() if v == heights[top]] == [top]
-    sol = linalg.solve(list(zip(*rows)), _side_coords(rs, roots[top], side))
+    sol = fraction_solve(list(zip(*rows)), _side_coords(rs, roots[top], side))
     assert all(x.denominator == 1 and x > 0 for x in sol)
     return simple, top, tuple(int(x) for x in sol)
 
@@ -518,15 +519,10 @@ def test_scaled_coroots_land_in_subsystem_coroot_lattice(name):
     rs = build_root_system(name)
     for s in full_rank_subsystems(rs, "bds"):
         n = n_of_subsystem(rs, s.roots)
-        columns = [
-            linalg.vec(rs.coroot_coweight_coords(b))
-            for b in sorted(s.roots)
-        ]
+        columns = [rs.coroot_coweight_coords(b) for b in sorted(s.roots)]
         for alpha in rs.roots:
-            target = linalg.vec(
-                [n * x for x in rs.coroot_coweight_coords(alpha)]
-            )
-            sol = linalg.solve(list(zip(*columns)), target)
+            target = [n * x for x in rs.coroot_coweight_coords(alpha)]
+            sol = fraction_solve(list(zip(*columns)), target)
             assert sol is not None
             assert all(x.denominator == 1 for x in sol), (
                 f"{name}: {n}*coroot of {alpha} outside the coroot span of {s.label}"
