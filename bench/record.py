@@ -45,8 +45,10 @@ CLI_ROWS = (
     ("subsystems", "--type", "B12"),
     ("nsigma", "--type", "E8"),
     ("build", "--type", "A2"),
+    ("build", "--type", "E8"),
     ("snf", "--matrix", "2,1;0,2"),
     ("rank-one-bound", "--type", "A2"),
+    ("rank-one-bound", "--type", "F4xB3xA2"),
     ("exponent", "--spherical", "1/2,0;1/3,1", "--mu", "5/2,2", "--rhoq", "1/2,1/3",
      "--nu", "0,1/2", "--n", "6"),
 )

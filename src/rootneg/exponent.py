@@ -9,13 +9,12 @@ integer kernels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import linalg
 
 
-@dataclass(frozen=True)
-class ExponentCertificate:
+class ExponentCertificate(NamedTuple):
     """Decomposition mu = rho_q + sum(c_alpha alpha) + i nu, with flags.
 
     solvable: the real difference lies in the span of the spherical roots

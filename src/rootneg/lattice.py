@@ -9,12 +9,10 @@ another of the same rank.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
-@dataclass(frozen=True)
-class SNFResult:
+class SNFResult(NamedTuple):
     """U @ A @ V == D with U, V unimodular and D in Smith normal form."""
 
     u: tuple[tuple[int, ...], ...]

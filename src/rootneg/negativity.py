@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import Literal, NamedTuple, Optional
 
 from . import linalg
 from .lattice import hermite_row_basis
@@ -48,24 +47,27 @@ Mode = Literal["weak", "integral", "strict"]
 SubspaceAssignment = SubspaceBasis | Mapping[Parameter, SubspaceBasis] | None
 
 
-@dataclass(frozen=True)
 class NegativityQuery:
-    lam: Parameter
-    mode: Mode
-    a_lambda: Optional[SubspaceBasis] = None
-    denominator: int = 1
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("weak", "integral", "strict"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "strict" and self.a_lambda is not None:
+    def __init__(self, lam: Parameter, mode: Mode, a_lambda: Optional[SubspaceBasis] = None,
+                 denominator: int = 1) -> None:
+        if mode not in ("weak", "integral", "strict"):
+            raise ValueError(f"unknown mode {mode!r}")
+        if mode == "strict" and a_lambda is not None:
             raise ValueError("strict mode takes no subspace")
-        if self.denominator < 1:
+        if denominator < 1:
             raise ValueError("denominator must be a positive integer")
+        self.lam, self.mode, self.a_lambda, self.denominator = lam, mode, a_lambda, denominator
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, NegativityQuery) and (
+            (self.lam, self.mode, self.a_lambda, self.denominator)
+            == (other.lam, other.mode, other.a_lambda, other.denominator))
+
+    def __hash__(self) -> int:
+        return hash((self.lam, self.mode, self.a_lambda, self.denominator))
 
 
-@dataclass(frozen=True)
-class NegativityVerdict:
+class NegativityVerdict(NamedTuple):
     """Outcome of one feasibility check.
 
     witness_omega holds rational coefficients over span_basis (a maximal
@@ -80,21 +82,18 @@ class NegativityVerdict:
     span_basis: tuple[Root, ...]
 
 
-@dataclass(frozen=True)
-class MemberVerdict:
+class MemberVerdict(NamedTuple):
     word: tuple[int, ...]
     mu: Parameter
     verdict: NegativityVerdict
 
 
-@dataclass(frozen=True)
-class ClassNegativityReport:
+class ClassNegativityReport(NamedTuple):
     ok: bool
     members: tuple[MemberVerdict, ...]
 
 
-@dataclass(frozen=True)
-class FundamentalLemmaReport:
+class FundamentalLemmaReport(NamedTuple):
     """Edge and lattice data attached to a parameter's negativity class.
 
     vacuous is set when the class fails the requested negativity mode; the

@@ -15,7 +15,6 @@ rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import NamedTuple
 
@@ -33,7 +32,6 @@ from .rootsys import (
 from .subsystems import subsystem_spec
 
 
-@dataclass(frozen=True)
 class SubspaceBasis:
     """A subspace of the chamber side, spanned by rows in coweight coordinates.
 
@@ -41,19 +39,22 @@ class SubspaceBasis:
     construction; membership reduces a vector against it.
     """
 
-    ambient_dim: int
-    vectors: tuple[Vec, ...]
-
-    def __post_init__(self) -> None:
-        vecs = tuple(linalg.vec(v) for v in self.vectors)
-        object.__setattr__(self, "vectors", vecs)
-        for v in vecs:
-            if len(v) != self.ambient_dim:
+    def __init__(self, ambient_dim: int, vectors: tuple[Vec, ...]) -> None:
+        self.ambient_dim = ambient_dim
+        self.vectors: tuple[Vec, ...] = tuple(linalg.vec(v) for v in vectors)
+        for v in self.vectors:
+            if len(v) != ambient_dim:
                 raise ValueError("basis vector length does not match ambient dimension")
-        echelon = linalg.IntEchelon(linalg.scaled_to_int(v) for v in vecs)
-        if len(echelon) != len(vecs):
+        self._echelon = linalg.IntEchelon(linalg.scaled_to_int(v) for v in self.vectors)
+        if len(self._echelon) != len(self.vectors):
             raise ValueError("subspace basis vectors are linearly dependent")
-        object.__setattr__(self, "_echelon", echelon)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, SubspaceBasis) and (
+            (self.ambient_dim, self.vectors) == (other.ambient_dim, other.vectors))
+
+    def __hash__(self) -> int:
+        return hash((self.ambient_dim, self.vectors))
 
     @property
     def dim(self) -> int:
@@ -71,8 +72,7 @@ def full_space(rs: RootSystem) -> SubspaceBasis:
     return SubspaceBasis(n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
 
-@dataclass(frozen=True)
-class ParameterClass:
+class ParameterClass(NamedTuple):
     """All parameters reachable from base by admissible reflection moves.
 
     members are (word, mu) pairs with mu = w(base), sorted by mu; word is

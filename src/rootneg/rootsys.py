@@ -22,7 +22,6 @@ squared length 1 (so their doubles have squared length 4).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Union
@@ -43,7 +42,6 @@ class CapacityError(Exception):
     """Raised when a request exceeds a documented enumeration bound."""
 
 
-@dataclass(frozen=True, order=True)
 class RootSystemSpec:
     """A product of irreducible types, e.g. ``A2``, ``G2``, ``B3xA1``.
 
@@ -51,15 +49,18 @@ class RootSystemSpec:
     naming the same product compare equal.
     """
 
-    components: tuple[tuple[str, int], ...]
-
-    def __post_init__(self) -> None:
-        if not self.components:
+    def __init__(self, components: tuple[tuple[str, int], ...]) -> None:
+        if not components:
             raise ValueError("spec needs at least one component")
-        for family, rank in self.components:
+        for family, rank in components:
             _check_component(family, rank)
-        ordered = tuple(sorted(self.components))
-        object.__setattr__(self, "components", ordered)
+        self.components: tuple[tuple[str, int], ...] = tuple(sorted(components))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, RootSystemSpec) and self.components == other.components
+
+    def __hash__(self) -> int:
+        return hash((self.components,))
 
     @classmethod
     def parse(cls, text: str) -> "RootSystemSpec":
@@ -381,18 +382,23 @@ def dual(rs: RootSystem) -> RootSystem:
 # ---------------------------------------------------------------------------
 # Parameters (complex rational functionals on the span of the coroots)
 
-@dataclass(frozen=True)
 class Parameter:
     """Values on the simple coroots: entry i is re[i] + im[i] * sqrt(-1)."""
 
-    re: tuple[Q, ...]
-    im: tuple[Q, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "re", tuple(Q(x) for x in self.re))
-        object.__setattr__(self, "im", tuple(Q(x) for x in self.im))
+    def __init__(self, re: Iterable, im: Iterable) -> None:
+        self.re: tuple[Q, ...] = tuple(Q(x) for x in re)
+        self.im: tuple[Q, ...] = tuple(Q(x) for x in im)
         if len(self.re) != len(self.im):
             raise ValueError("re and im must have equal length")
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Parameter) and (self.re, self.im) == (other.re, other.im)
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
+
+    def __repr__(self) -> str:
+        return f"Parameter(re={self.re!r}, im={self.im!r})"
 
     @classmethod
     def of(cls, re: Iterable, im: Iterable = ()) -> "Parameter":
@@ -466,8 +472,7 @@ def rho(rs: RootSystem) -> Parameter:
 # ---------------------------------------------------------------------------
 # Weyl group
 
-@dataclass(frozen=True, order=True)
-class WeylElement:
+class WeylElement(NamedTuple):
     """A Weyl group element, stored by its images of the simple roots."""
 
     images: tuple[Root, ...]

@@ -23,15 +23,13 @@ tiny (tens of rows); clarity wins over sparse cleverness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Literal, Optional, Sequence
+from typing import Literal, NamedTuple, Optional, Sequence
 
 Status = Literal["optimal", "infeasible", "unbounded"]
 
 
-@dataclass(frozen=True)
-class LPSolution:
+class LPSolution(NamedTuple):
     status: Status
     x: Optional[tuple[Q, ...]]
     objective: Optional[Q]

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
 from typing import Iterable, Literal, Optional
 
 from . import linalg
@@ -60,7 +59,6 @@ Components = list[tuple[tuple[int, ...], IndexSet]]
 BRUTE_FORCE_MAX_RANK = 3
 
 
-@dataclass(frozen=True)
 class Subsystem:
     """A subsystem presented by its sorted root list and a type label.
 
@@ -70,9 +68,16 @@ class Subsystem:
     parabolic_closure leaves them empty.
     """
 
-    roots: tuple[Root, ...]
-    label: str
-    coroot_simple: tuple[Root, ...] = field(default=(), compare=False)
+    def __init__(self, roots: tuple[Root, ...], label: str,
+                 coroot_simple: tuple[Root, ...] = ()) -> None:
+        self.roots, self.label, self.coroot_simple = roots, label, coroot_simple
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Subsystem) and (
+            (self.roots, self.label) == (other.roots, other.label))
+
+    def __hash__(self) -> int:
+        return hash((self.roots, self.label))
 
 
 # ---------------------------------------------------------------------------

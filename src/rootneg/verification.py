@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import linalg
 from .lattice import smith_normal_form
@@ -60,8 +59,7 @@ DENSE_IMAG_GRID = (Q(0), Q(1, 2), Q(-1, 2), Q(1), Q(-1), Q(3, 2), Q(-3, 2))
 GRID_SEED = 20260817
 
 
-@dataclass(frozen=True)
-class PropertyResult:
+class PropertyResult(NamedTuple):
     name: str
     checked: int
     failures: tuple[str, ...]

@@ -522,12 +522,15 @@ def test_reimport_releases_the_old_modules():
 
 _LOADED_SCRIPT = """
 import contextlib, io, json, sys
+own = set(sys.modules)
 import rootneg.cli
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = rootneg.cli.run(sys.argv[1:])
 loaded = sorted(n for n in sys.modules if n == "rootneg" or n.startswith("rootneg."))
-print(json.dumps({"exit_code": code, "stdout": out.getvalue(), "loaded": loaded}))
+added = sorted(set(sys.modules) - own)
+print(json.dumps({"exit_code": code, "stdout": out.getvalue(), "loaded": loaded,
+                  "added": added}))
 """
 
 _CORE = {"rootneg", "rootneg.rootsys", "rootneg.linalg", "rootneg.cli"}
@@ -563,6 +566,8 @@ def test_each_command_loads_only_the_modules_it_runs():
         doc = json.loads(done.stdout)
         assert (doc["exit_code"], doc["stdout"]) == (case["exit_code"], case["stdout"]), name
         assert set(doc["loaded"]) == expected, name
+        # dataclasses costs a cold process about 10 ms, most of it inspect
+        assert not {"dataclasses", "inspect"} & set(doc["added"]), name
 
 
 _BARE_DASH_ARGVS = (

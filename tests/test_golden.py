@@ -5,6 +5,9 @@ and the ``stdout`` text that ``rootneg.cli.run`` produced for it.  Any change
 to a verdict, a witness, an ordering or the serialisation shows up here.
 A new case is recorded by running its argv through ``run`` at a commit
 whose output is trusted and storing the three fields.
+
+``tests/golden/demos/<demo>.txt`` holds the stdout of ``demos/<demo>.py``.
+The demos print record fields and are the README's runnable walkthroughs.
 """
 
 from __future__ import annotations
@@ -12,13 +15,15 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import runpy
 from pathlib import Path
 
 import pytest
 
 from rootneg.cli import run
 
-CASES = sorted((Path(__file__).parent / "golden").glob("*.json"))
+GOLDEN = Path(__file__).parent / "golden"
+CASES = sorted(GOLDEN.glob("*.json"))
 # verify.json runs the whole property suite; its exit code and stdout bytes
 # are checked in a fresh process by
 # test_cli.py::test_each_command_loads_only_the_modules_it_runs, so it is
@@ -38,3 +43,19 @@ def test_golden_case(path):
         code = run(case["argv"])
     assert code == case["exit_code"]
     assert out.getvalue() == case["stdout"]
+
+
+DEMOS = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
+
+
+def test_every_demo_has_a_recording():
+    assert [p.stem for p in DEMOS] == sorted(p.stem for p in (GOLDEN / "demos").glob("*.txt"))
+    assert len(DEMOS) == 3
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=[p.stem for p in DEMOS])
+def test_demo_stdout(path):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(path), run_name="__main__")
+    assert out.getvalue() == (GOLDEN / "demos" / f"{path.stem}.txt").read_text(encoding="utf-8")

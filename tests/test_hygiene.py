@@ -12,6 +12,9 @@ an attribute, or an imported name (which covers the package's re-exports).
 Every top-level private function and class is referenced in src/ outside its
 own definition; tests do not count, so a helper left without a caller in the
 program is found.
+
+No module imports ``dataclasses``: it pulls in ``inspect`` and costs a fresh
+CLI process about 10 ms of start-up, more than most commands compute.
 """
 
 from __future__ import annotations
@@ -207,3 +210,39 @@ def test_scan_flags_a_private_helper_without_a_caller():
     caller = ast.parse("import m\n_used()\nx: '_Kept'\n")
     assert _unreferenced_private(module, _top_level_references([module, caller])) \
         == ["_unused (line 2)"]
+
+
+#: modules that no source file may import, by top-level package name
+BANNED_IMPORTS = {"dataclasses"}
+
+
+def _banned_imports(tree: ast.Module) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names
+                  if name.split(".")[0] in BANNED_IMPORTS]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_no_banned_imports(path):
+    banned = _banned_imports(ast.parse(path.read_text(encoding="utf-8")))
+    assert not banned, f"{path.name} imports {', '.join(banned)}"
+
+
+def test_scan_flags_a_banned_import():
+    source = (SRC / "params.py").read_text(encoding="utf-8")
+    planted = ast.parse(source.replace(
+        "from fractions import", "from dataclasses import dataclass\nfrom fractions import", 1
+    ) + "\n\ndef planted():\n    import dataclasses as dc\n    return dc\n")
+    line = next(i for i, text in enumerate(source.splitlines(), 1)
+                if text.startswith("from fractions import"))
+    assert _banned_imports(planted) == [
+        f"dataclasses (line {line})", f"dataclasses (line {len(source.splitlines()) + 5})"]
+    assert _banned_imports(ast.parse("from . import dataclasses\nimport dataclassy\n")) == []
