@@ -60,6 +60,7 @@ class RootSystemSpec:
         return isinstance(other, RootSystemSpec) and self.components == other.components
 
     def __hash__(self) -> int:
+        # the one-field tuple a frozen dataclass hashed, so set orders stay put
         return hash((self.components,))
 
     @classmethod
