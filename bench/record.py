@@ -51,6 +51,9 @@ CLI_ROWS = (
     ("rank-one-bound", "--type", "F4xB3xA2"),
     ("exponent", "--spherical", "1/2,0;1/3,1", "--mu", "5/2,2", "--rhoq", "1/2,1/3",
      "--nu", "0,1/2", "--n", "6"),
+    ("build", "--type", "B12"),
+    ("edge", "--type", "E8", "--re", "1/2,1,1,1,1,1/3,1,1"),
+    ("negativity", "--type", "B3", "--re", "1/3,1/2,1", "--im", "0,1/2,0", "--mode", "weak"),
 )
 
 

@@ -38,7 +38,6 @@ from .rootsys import (
     Parameter,
     RootSystem,
     build_root_system,
-    dual,
     rank_one_bound,
     weyl_order,
 )
@@ -56,6 +55,13 @@ def _q_rows(rows) -> list[list[str]]:
 
 def _parse_q_list(text: str, what: str) -> tuple[Q, ...]:
     parts = [p.strip() for p in text.split(",")] if text.strip() else []
+    for p in parts:
+        # Fraction("1e999999999") would build 10**999999999 first, far beyond the
+        # 4300 digits Python converts to a string by default
+        exponent = p.lower().partition("e")[2].lstrip("+-").replace("_", "").lstrip("0")
+        if exponent.isdecimal() and (len(exponent) > 4 or int(exponent) >= 4300):
+            raise ValueError(f"{what} entry {p!r} makes a number longer than 4300 digits, "
+                             "Python's limit for converting an integer to a string")
     try:
         return tuple(Q(p) for p in parts)
     except (ValueError, ZeroDivisionError):
@@ -146,7 +152,7 @@ def _cmd_build(args) -> tuple[JsonDoc, int]:
         "positive_root_count": len(rs.positive_roots),
         "positive_roots": [list(b) for b in rs.positive_roots],
         "weyl_order": str(weyl_order(rs.spec)),
-        "dual_type": str(dual(rs).spec),
+        "dual_type": str(rs.spec.dual()),
     }
     return doc, 0
 
@@ -193,8 +199,6 @@ def _store_nsigma_cache(path: str, cache: dict) -> None:
 
 
 def _cmd_nsigma(args) -> tuple[JsonDoc, int]:
-    from .subsystems import census
-
     key = f"{args.rs.spec}/{args.method}"
     path = os.path.join(args.cache_dir, "nsigma.json") if args.cache_dir else None
     cache = _load_nsigma_cache(path) if path else {}
@@ -203,6 +207,8 @@ def _cmd_nsigma(args) -> tuple[JsonDoc, int]:
         print(f"rootneg: ignoring malformed cache entry {key} in {path}", file=sys.stderr)
         entry = None
     if entry is None:
+        from .subsystems import census
+
         classes = [(s.label, math.lcm(1, *d)) for s, d in census(args.rs, args.method)]
         entry = {
             "n_sigma": str(math.lcm(1, *(n for _, n in classes))),
@@ -239,8 +245,9 @@ def _cmd_class(args) -> tuple[JsonDoc, int]:
     from .params import chamber_count, chamber_walk, edge
 
     walk = sorted(chamber_walk(args.rs, args.lam, args.denominator), key=lambda c: (c.re, c.im))
-    # the gallery at denominator 1 has one chamber per coset of W(Sigma)
-    count = chamber_count(args.rs, args.lam)
+    # the gallery at denominator 1 has one chamber per coset of W(Sigma), and
+    # at denominator 1 it is the walk itself
+    count = len(walk) if args.denominator == 1 else chamber_count(args.rs, args.lam)
     e = edge(args.rs, args.lam, args.denominator)
     doc = {
         "members": [

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from typing import Literal, NamedTuple, Optional
+from typing import TYPE_CHECKING, Literal, NamedTuple, Optional
 
 from . import linalg
-from .lattice import hermite_row_basis
 from .linalg import Vec
 from .params import (
     Chamber,
@@ -37,7 +36,9 @@ from .rootsys import (
     root_coords_of,
 )
 from .simplex import feasible_mixed
-from .subsystems import Subsystem, n_of_subsystem, parabolic_closure
+
+if TYPE_CHECKING:  # subsystems and lattice load only in the functions that call them
+    from .subsystems import Subsystem
 
 Mode = Literal["weak", "integral", "strict"]
 
@@ -242,6 +243,8 @@ def _closure_lattice_index(
     """Index of the closure's root lattice in the dual of the coroot lattice
     of sigma_pos within their span: |det| of the pairings between Z-bases
     of the two (Cassels, An Introduction to the Geometry of Numbers, ch. I)."""
+    from .lattice import hermite_row_basis
+
     coroots = hermite_row_basis(rs.coroot_coweight_coords(b) for b in sigma_pos)
     roots = hermite_row_basis(g for g in closure.roots if sum(g) > 0)
     if len(roots) != len(coroots):
@@ -270,6 +273,8 @@ def verify_fundamental_lemma(
     mode the report is marked vacuous (and the checks are still reported).
     At denominator 1 the class and the containing-member search read one walk.
     """
+    from .subsystems import parabolic_closure
+
     subspaces = _assignment(rs, mode, subspaces)
     walk = chamber_walk(rs, lam, denominator)
     gallery = walk if denominator == 1 else chamber_walk(rs, lam)
@@ -325,4 +330,6 @@ def integral_class_constant(rs: RootSystem, lam: Parameter, denominator: int = 1
     Requires the integral root set to have full rank (as it does whenever the
     strict predicate holds for the class).
     """
+    from .subsystems import n_of_subsystem
+
     return n_of_subsystem(rs, integral_roots(rs, lam, denominator))

@@ -29,7 +29,6 @@ from .rootsys import (
     root_coords_of,
     weyl_order,
 )
-from .subsystems import subsystem_spec
 
 
 class SubspaceBasis:
@@ -209,6 +208,8 @@ def chamber_count(rs: RootSystem, lam: Parameter) -> int:
     which holds one chamber per coset of W(Sigma) (Humphreys, Reflection
     Groups and Coxeter Groups §1.10; Dyer 1990, J. Algebra 135).
     """
+    from .subsystems import subsystem_spec
+
     spec = subsystem_spec(rs, integral_roots(rs, lam, 1))
     return weyl_order(rs.spec) // (weyl_order(spec) if spec is not None else 1)
 

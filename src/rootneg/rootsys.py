@@ -36,6 +36,8 @@ Root = tuple[int, ...]
 WEYL_ORDER_LIMIT = 10**6
 
 _FAMILIES = ("A", "B", "BC", "C", "D", "E", "F", "G")
+#: the families whose dual is the other one; every other family is self-dual
+_DUAL_FAMILY = {"B": "C", "C": "B"}
 
 
 class CapacityError(Exception):
@@ -78,6 +80,10 @@ class RootSystemSpec:
 
     def __str__(self) -> str:
         return "x".join(f"{fam}{rank}" for fam, rank in self.components)
+
+    def dual(self) -> "RootSystemSpec":
+        """The spec of the dual root system: B and C trade places."""
+        return RootSystemSpec(tuple((_DUAL_FAMILY.get(f, f), r) for f, r in self.components))
 
     @property
     def rank(self) -> int:
@@ -276,15 +282,18 @@ class RootSystem:
         self._root_set = frozenset(self.roots)
         self._len_sq: dict[Root, int] = {}
         self._coweight: dict[Root, tuple[int, ...]] = {}
-        for beta in self.roots:
+        for beta in self.positive_roots:
             gb = _gram_times(self.gram, beta)
             ls = sum(x * b for x, b in zip(gb, beta))
-            self._len_sq[beta] = ls
             # alpha_i(beta-coroot) = 2 (alpha_i, beta) / (beta, beta); always integral.
             coweight = [divmod(2 * x, ls) for x in gb]
             if any(rem for _, rem in coweight):
                 raise ValueError("non-integral coroot pairing")
+            # -beta has beta's length and the negated coroot
+            neg = tuple(-b for b in beta)
+            self._len_sq[beta] = self._len_sq[neg] = ls
             self._coweight[beta] = tuple(val for val, _ in coweight)
+            self._coweight[neg] = tuple(-val for val, _ in coweight)
         self._diag = tuple(self.gram[j][j] for j in range(self.rank))
 
     def __repr__(self) -> str:
@@ -370,14 +379,9 @@ def _block_diag(blocks: list[list[list[int]]], n: int) -> tuple[tuple[int, ...],
     return tuple(tuple(row) for row in g)
 
 
-_DUAL_FAMILY = {"A": "A", "B": "C", "C": "B", "BC": "BC", "D": "D",
-                "E": "E", "F": "F", "G": "G"}
-
-
 def dual(rs: RootSystem) -> RootSystem:
     """The root system whose roots are the coroots of this one."""
-    comps = tuple((_DUAL_FAMILY[fam], rank) for fam, rank in rs.spec.components)
-    return build_root_system(RootSystemSpec(comps))
+    return build_root_system(rs.spec.dual())
 
 
 # ---------------------------------------------------------------------------

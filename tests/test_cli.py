@@ -11,9 +11,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_rootsys import TABLE_TYPES
 
 import rootneg
 from rootneg.cli import run
+from rootneg.rootsys import build_root_system, dual
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -33,6 +35,32 @@ def test_build_known_system(capsys):
     assert doc["weyl_order"] == "2"
     assert doc["gram"] == [["1"]]
     assert doc["dual_type"] == "BC1"
+
+
+@pytest.mark.parametrize("type_name", ["B12", "C8"])
+def test_build_constructs_one_root_system(capsys, monkeypatch, type_name):
+    # dual_type comes from the spec, not from a second system
+    from rootneg import rootsys
+
+    built = []
+    init = rootsys.RootSystem.__init__
+
+    def counting(self, spec):
+        built.append(str(spec))
+        init(self, spec)
+
+    monkeypatch.setattr(rootsys, "_build_cache", {})
+    monkeypatch.setattr(rootsys.RootSystem, "__init__", counting)
+    code, out, err = invoke(capsys, "build", "--type", type_name)
+    assert (code, err) == (0, "")
+    assert built == [type_name]
+
+
+@pytest.mark.parametrize("type_name", TABLE_TYPES)
+def test_build_dual_type_names_the_dual_system(capsys, type_name):
+    code, out, _ = invoke(capsys, "build", "--type", type_name)
+    assert code == 0
+    assert json.loads(out)["dual_type"] == str(dual(build_root_system(type_name)).spec)
 
 
 def test_build_rejects_unknown_family(capsys):
@@ -410,11 +438,15 @@ def test_golden_commands_walk_each_parameter_once(capsys, monkeypatch):
     ],
 )
 def test_e7_e8_within_the_limit_are_answered(capsys, type_name, re, count):
+    from rootneg.params import chamber_count
+
     code, out, _ = invoke(capsys, "class", "--type", type_name, "--re", re)
     assert code == 0
     doc = json.loads(out)
     # the coset index and the class walked at denominator 1 agree
-    assert doc["chamber_count"] == doc["gallery_size"] == len(doc["members"]) == count
+    rs = build_root_system(type_name)
+    index = chamber_count(rs, rootneg.Parameter.of(re.split(",")))
+    assert doc["chamber_count"] == doc["gallery_size"] == len(doc["members"]) == index == count
 
 
 def test_pretty_only_changes_whitespace(capsys):
@@ -448,6 +480,25 @@ def test_cli_byte_determinism_subprocess():
     second = subprocess.run(argv, capture_output=True, check=True)
     assert first.stdout == second.stdout
     assert first.stdout.endswith(b"\n")
+
+
+_HUGE_EXPONENT_ARGVS = {
+    "edge": ("edge", "--type", "A2", "--re", "1e999999999,1"),
+    "negative": ("edge", "--type", "A2", "--re", "1/2,-3.5E-1_000_000_000"),
+    "snf": ("snf", "--matrix", "1,2;3,4e+999999999"),
+    "exponent": ("exponent", "--spherical", "1,0;0,1", "--mu", "1,2", "--rhoq", "0,0",
+                 "--nu", "0,1e999999999"),
+    "least": ("negativity", "--type", "A2", "--re", "1e4300,1", "--mode", "weak"),
+}
+
+
+@pytest.mark.parametrize("argv", _HUGE_EXPONENT_ARGVS.values(), ids=_HUGE_EXPONENT_ARGVS.keys())
+def test_an_exponent_beyond_the_digit_limit_is_refused_at_once(argv):
+    # Fraction would build 10**exponent first: hours and hundreds of MB
+    done = subprocess.run([sys.executable, "-m", "rootneg.cli", *argv],
+                          capture_output=True, text=True, timeout=10)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error:") and "longer than 4300 digits" in done.stderr
 
 
 def test_console_entry_point():
@@ -535,7 +586,7 @@ print(json.dumps({"exit_code": code, "stdout": out.getvalue(), "loaded": loaded,
 
 _CORE = {"rootneg", "rootneg.rootsys", "rootneg.linalg", "rootneg.cli"}
 _CENSUS = _CORE | {"rootneg.subsystems", "rootneg.lattice"}
-_PARAMS = _CENSUS | {"rootneg.params"}
+_PARAMS = _CORE | {"rootneg.params"}
 _NEGATIVITY = _PARAMS | {"rootneg.negativity", "rootneg.simplex"}
 #: per command, one golden case and the rootneg modules a fresh process loads
 _LOADED = {
@@ -549,25 +600,43 @@ _LOADED = {
     "gallery": ("gallery_a2", _PARAMS),
     "edge": ("edge_b2", _PARAMS),
     "negativity": ("negativity_a2_strict", _NEGATIVITY),
-    "fundamental": ("fundamental_b2_strict", _NEGATIVITY),
-    "verify": ("verify", _NEGATIVITY | {"rootneg.verification"}),
+    "fundamental": ("fundamental_b2_strict", _NEGATIVITY | _CENSUS),
+    "verify": ("verify", _NEGATIVITY | _CENSUS | {"rootneg.verification"}),
 }
+#: further golden cases: above WEYL_ORDER_LIMIT the chamber guard computes the
+#: coset index, which loads the census modules, and this one it refuses
+_LOADED_MORE = {"class_e7_generic_refused": _PARAMS | _CENSUS}
+
+
+def _fresh_process(argv, cwd=None) -> dict:
+    done = subprocess.run([sys.executable, "-c", _LOADED_SCRIPT, *argv], cwd=cwd,
+                          capture_output=True, text=True, timeout=300, check=True)
+    return json.loads(done.stdout)
 
 
 def test_each_command_loads_only_the_modules_it_runs():
     # a fresh interpreter per command; a top-level import in cli.py would add
     # its module to every command's set
     assert set(_LOADED) == set(_HELP_COMMANDS)
-    for name, (stem, expected) in _LOADED.items():
+    cases = dict(_LOADED)
+    cases.update((stem, (stem, expected)) for stem, expected in _LOADED_MORE.items())
+    for name, (stem, expected) in cases.items():
         case = json.loads((REPO_ROOT / "tests" / "golden" / f"{stem}.json")
                           .read_text(encoding="utf-8"))
-        done = subprocess.run([sys.executable, "-c", _LOADED_SCRIPT, *case["argv"]],
-                              capture_output=True, text=True, timeout=300, check=True)
-        doc = json.loads(done.stdout)
+        doc = _fresh_process(case["argv"])
         assert (doc["exit_code"], doc["stdout"]) == (case["exit_code"], case["stdout"]), name
         assert set(doc["loaded"]) == expected, name
         # dataclasses costs a cold process about 10 ms, most of it inspect
         assert not {"dataclasses", "inspect"} & set(doc["added"]), name
+
+
+def test_a_cached_nsigma_loads_no_census(tmp_path):
+    argv = ["nsigma", "--type", "B3", "--cache-dir", str(tmp_path)]
+    miss, hit = _fresh_process(argv), _fresh_process(argv)
+    assert miss["exit_code"] == hit["exit_code"] == 0
+    assert hit["stdout"] == miss["stdout"]
+    assert set(miss["loaded"]) == _CENSUS
+    assert set(hit["loaded"]) == _CORE
 
 
 _BARE_DASH_ARGVS = (

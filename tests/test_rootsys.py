@@ -225,6 +225,30 @@ def test_root_table_matches_reflect(name):
     assert sum(d is not None for d in table.double) == sum(h is not None for h in table.half)
 
 
+def _gram_tables(rs):
+    """Squared lengths and coroots in coweight coordinates, each read off a
+    Gram product for every root, negatives included: the loop RootSystem ran
+    before it filled in the negative roots by negation."""
+    len_sq, coweight = {}, {}
+    for beta in rs.roots:
+        gb = [sum(g * b for g, b in zip(row, beta)) for row in rs.gram]
+        ls = sum(x * b for x, b in zip(gb, beta))
+        len_sq[beta] = ls
+        pairs = [divmod(2 * x, ls) for x in gb]
+        assert not any(rem for _, rem in pairs)
+        coweight[beta] = tuple(val for val, _ in pairs)
+    return len_sq, coweight
+
+
+@pytest.mark.parametrize("name", TABLE_TYPES)
+def test_per_root_tables_match_the_gram_matrix(name):
+    rs = build_root_system(name)
+    len_sq, coweight = _gram_tables(rs)
+    assert set(len_sq) == set(rs.roots)
+    assert rs._len_sq == len_sq
+    assert rs._coweight == coweight
+
+
 def test_pairing_frozen_values():
     rs = build_root_system("B2")
     lam = Parameter.of([Q(1, 2), Q(1, 2)])
