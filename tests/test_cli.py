@@ -605,11 +605,11 @@ _LOADED = {
 }
 #: further golden cases: above WEYL_ORDER_LIMIT the chamber guard computes the
 #: coset index, which loads the census modules, and this one it refuses
-_LOADED_MORE = {"class_e7_generic_refused": _PARAMS | _CENSUS}
+_LOADED_MORE = (("class_e7_generic_refused", _PARAMS | _CENSUS),)
 
 
-def _fresh_process(argv, cwd=None) -> dict:
-    done = subprocess.run([sys.executable, "-c", _LOADED_SCRIPT, *argv], cwd=cwd,
+def _fresh_process(argv) -> dict:
+    done = subprocess.run([sys.executable, "-c", _LOADED_SCRIPT, *argv],
                           capture_output=True, text=True, timeout=300, check=True)
     return json.loads(done.stdout)
 
@@ -618,16 +618,14 @@ def test_each_command_loads_only_the_modules_it_runs():
     # a fresh interpreter per command; a top-level import in cli.py would add
     # its module to every command's set
     assert set(_LOADED) == set(_HELP_COMMANDS)
-    cases = dict(_LOADED)
-    cases.update((stem, (stem, expected)) for stem, expected in _LOADED_MORE.items())
-    for name, (stem, expected) in cases.items():
+    for stem, expected in [*_LOADED.values(), *_LOADED_MORE]:
         case = json.loads((REPO_ROOT / "tests" / "golden" / f"{stem}.json")
                           .read_text(encoding="utf-8"))
         doc = _fresh_process(case["argv"])
-        assert (doc["exit_code"], doc["stdout"]) == (case["exit_code"], case["stdout"]), name
-        assert set(doc["loaded"]) == expected, name
+        assert (doc["exit_code"], doc["stdout"]) == (case["exit_code"], case["stdout"]), stem
+        assert set(doc["loaded"]) == expected, stem
         # dataclasses costs a cold process about 10 ms, most of it inspect
-        assert not {"dataclasses", "inspect"} & set(doc["added"]), name
+        assert not {"dataclasses", "inspect"} & set(doc["added"]), stem
 
 
 def test_a_cached_nsigma_loads_no_census(tmp_path):
